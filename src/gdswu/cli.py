@@ -3,7 +3,7 @@
 All data outputs are deterministic: CSV with LF line endings, JSON with a
 stable key order, no timestamps.  Seeds and magnitudes accept 0x-prefixed
 hex; CSV values are always decimal.  Exit codes: 0 success, 1 data error
-(malformed input row), 2 usage or domain error.
+(malformed or out-of-range input row), 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -50,17 +50,6 @@ DEFAULTS = {
     "sample_offset": 0.0,
 }
 
-_CONFIG_PARSERS = {
-    "a": int,
-    "b": float,
-    "taps": int,
-    "frac_bits": int,
-    "rounding": str,
-    "mode": str,
-    "sample_int_bits": int,
-}
-
-
 class DataError(Exception):
     """Malformed input data (exit code 1)."""
 
@@ -71,9 +60,16 @@ def parse_int_literal(text: str) -> int:
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a key=value run-config file; errors name the key and line."""
+    """Parse a key=value run-config file; errors name the key and line.
+
+    The keys and their value types are those of ``DEFAULTS``.
+    """
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for line_number, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -85,10 +81,10 @@ def load_config_file(path: str) -> dict:
             key, _, raw_value = stripped.partition("=")
             key = key.strip()
             raw_value = raw_value.strip()
-            if key not in _CONFIG_PARSERS:
+            if key not in DEFAULTS:
                 raise ValueError(f"{path} line {line_number}: unknown key {key!r}")
             try:
-                values[key] = _CONFIG_PARSERS[key](raw_value)
+                values[key] = type(DEFAULTS[key])(raw_value)
             except ValueError:
                 raise ValueError(
                     f"{path} line {line_number}: invalid value {raw_value!r} for key {key!r}"
@@ -108,8 +104,8 @@ def _resolve_config(ns: argparse.Namespace) -> FilterConfig:
     return make_config(**settings)
 
 
-def _read_samples(path: str, has_header: bool) -> list[int]:
-    """One decimal integer sample per CSV row (first column)."""
+def _read_samples(path: str, has_header: bool, max_raw: int) -> list[int]:
+    """One decimal integer sample in 0..max_raw per CSV row (first column)."""
     if path == "-":
         rows = list(csv.reader(sys.stdin))
     else:
@@ -126,10 +122,22 @@ def _read_samples(path: str, has_header: bool) -> list[int]:
             raise DataError(f"{path} row {row_number}: empty row")
         text = row[0].strip()
         try:
-            samples.append(int(text))
+            value = int(text)
         except ValueError:
             raise DataError(f"{path} row {row_number}: not an integer: {text!r}") from None
+        if not 0 <= value <= max_raw:
+            raise DataError(
+                f"{path} row {row_number}: sample {value} out of range 0..{max_raw}"
+            )
+        samples.append(value)
     return samples
+
+
+def _check_level(flag: str, value: int, config: FilterConfig) -> None:
+    """A flag that sets a sample level must fit the sample format (exit 2)."""
+    max_raw = config.sample_format.max_raw
+    if not 0 <= value <= max_raw:
+        raise ValueError(f"{flag} {value} out of range 0..{max_raw}")
 
 
 @contextmanager
@@ -161,7 +169,7 @@ def cmd_weights(ns: argparse.Namespace) -> int:
 
 def cmd_run(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
-    samples = _read_samples(ns.input, ns.has_header)
+    samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     outputs = GammaWindowFilter(config).run(samples)
     with _open_out(ns.output) as fh:
         _write_run_csv(fh, samples, outputs)
@@ -181,6 +189,7 @@ def _settle_index(outputs: list[int]) -> int:
 
 def cmd_step(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
+    _check_level("--seed", ns.seed, config)
     outputs = step_response(config, ns.seed, ns.length)
     with _open_out(ns.output) as fh:
         _write_run_csv(fh, [ns.seed] * ns.length, outputs)
@@ -200,10 +209,11 @@ def cmd_step(ns: argparse.Namespace) -> int:
 
 def cmd_inject(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
-    samples = _read_samples(ns.input, ns.has_header)
+    samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     spec = FaultSpec(
         kind=ns.kind, start=ns.at, duration=ns.duration, magnitude=ns.magnitude
     )
+    _check_level("--magnitude", spec.replacement_value, config)
     report = attenuation_report(samples, spec, config)
     payload = {"spec": spec.to_json_dict()}
     payload.update(report.to_json_dict())
@@ -213,7 +223,7 @@ def cmd_inject(ns: argparse.Namespace) -> int:
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
-    samples = _read_samples(ns.input, ns.has_header)
+    samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     model = build_pipeline(config, ns.architecture)
     _, reports = run_pipeline(model, samples)
     with _open_out(ns.output) as fh:

@@ -1,13 +1,23 @@
 """The gamma-weighted sliding-window filter.
 
-A ring buffer holds the last ``taps`` samples; each push evaluates the exact
-weighted sum A = sum(raw_weight[i] * sample_at_lag_i) and emits one output:
+The filter holds the last ``taps`` samples; each output is the exact
+weighted sum A = sum(raw_weight[i] * sample_at_lag_i), normalized per mode:
 
 - normalized-average mode: floor(A / raw_sum) — an exact convex combination,
   so a constant input c yields exactly c once the window is full.
 - raw-accumulate mode: floor(A / 2**frac_bits), saturated to the sample
   format.  This is the unscaled accumulate reading of the datapath; a full
   0x7F step settles at floor(127 * raw_sum / 128) here, not at the seed.
+
+``push`` evaluates A for one sample with ``mac_exact`` over a ring buffer.
+``run`` evaluates a whole block with one integer product (Kronecker
+substitution): the carried last ``taps - 1`` samples plus the block, and the
+raw weights, are each packed into one Python int with a field of F bytes
+per value, so field k of their product is the convolution term
+sum(w[i] * s[k - i]).  Every term is non-negative and at most
+``max_raw * raw_sum``; F is chosen so that this bound is below 2**(8F), so
+no field ever carries into the next and each field is A exactly (see the
+``fixed_point`` module note).
 
 Warm-up uses zero padding: the window starts all-zero like a hardware shift
 register after reset, and there is no partial-sum renormalization.  Division
@@ -20,6 +30,8 @@ instances are independent and may run on distinct threads freely.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -82,16 +94,16 @@ def make_config(
 class GammaWindowFilter:
     """Sliding-window filter over the most recent ``taps`` samples.
 
-    Output depends only on the last ``taps`` pushed samples; eviction is
-    strict FIFO, and lag i of the weight vector always addresses the i-th
+    Output depends only on the last ``taps`` samples pushed or run; eviction
+    is strict FIFO, and lag i of the weight vector always addresses the i-th
     most recent sample.
     """
 
     def __init__(self, config: FilterConfig):
         self.config = config
-        self._window = [0] * config.taps
-        self._head = 0
-        self._fill = 0
+        self._width = _field_bytes(config)
+        self._packed_weights = _pack(config.weights.raw, self._width)
+        self.reset()
 
     @property
     def fill_count(self) -> int:
@@ -100,37 +112,128 @@ class GammaWindowFilter:
 
     def push(self, sample: int) -> int:
         """Insert one sample (raw value) and return the filter output."""
-        sample = operator.index(sample)
-        fmt = self.config.sample_format
-        if not 0 <= sample <= fmt.max_raw:
-            raise ValueError(f"sample {sample} out of range 0..{fmt.max_raw}")
+        sample = self._checked(sample)
         taps = self.config.taps
         self._head = (self._head + 1) % taps
         self._window[self._head] = sample
         if self._fill < taps:
             self._fill += 1
         ordered = [self._window[(self._head - i) % taps] for i in range(taps)]
-        weights = self.config.weights
-        acc = mac_exact(ordered, weights.raw)
-        if self.config.mode == MODE_NORMALIZED:
-            return acc // weights.raw_sum
-        return min(acc >> weights.qformat.frac_bits, fmt.max_raw)
+        return _normalize(self.config, [mac_exact(ordered, self.config.weights.raw)])[0]
 
     def run(self, samples: Iterable[int]) -> list[int]:
-        """Fold push over a stream; output length equals input length."""
-        out = []
-        for index, sample in enumerate(samples):
+        """Filter a block; output length equals input length.
+
+        The outputs and the state left behind equal those of pushing each
+        sample in turn.  At a bad sample the valid prefix before it is
+        consumed, then the error is raised; a ValueError names the index.
+        """
+        values = list(samples)
+        max_raw = self.config.sample_format.max_raw
+        try:
+            checked = list(map(operator.index, values))
+            in_range = not checked or (min(checked) >= 0 and max(checked) <= max_raw)
+        except TypeError:
+            in_range = False
+        if in_range:
+            return self._run_block(checked)
+        checked = []
+        for index, sample in enumerate(values):
             try:
-                out.append(self.push(sample))
+                checked.append(self._checked(sample))
+            except TypeError:
+                self._run_block(checked)
+                raise
             except ValueError as exc:
+                self._run_block(checked)
                 raise ValueError(f"sample {index}: {exc}") from exc
-        return out
+        return self._run_block(checked)
 
     def reset(self) -> None:
         """Return to the freshly constructed state (window zeroed)."""
         self._window = [0] * self.config.taps
         self._head = 0
         self._fill = 0
+
+    def _checked(self, sample) -> int:
+        sample = operator.index(sample)
+        max_raw = self.config.sample_format.max_raw
+        if not 0 <= sample <= max_raw:
+            raise ValueError(f"sample {sample} out of range 0..{max_raw}")
+        return sample
+
+    def _run_block(self, values: list[int]) -> list[int]:
+        """Outputs for in-range int samples, by one packed product."""
+        if not values:
+            return []
+        taps = self.config.taps
+        split = self._head + 1
+        oldest_first = self._window[split:] + self._window[:split]
+        stream = oldest_first[1:] + values
+        product = _pack(stream, self._width) * self._packed_weights
+        accumulators = _unpack(
+            product, self._width, len(stream) + taps - 1, taps - 1, len(values)
+        )
+        self._window = stream[-taps:]
+        self._head = taps - 1
+        self._fill = min(taps, self._fill + len(values))
+        return _normalize(self.config, accumulators)
+
+
+def _normalize(config: FilterConfig, accumulators: Iterable[int]) -> list[int]:
+    """The output mode's step over exact weighted sums."""
+    weights = config.weights
+    if config.mode == MODE_NORMALIZED:
+        raw_sum = weights.raw_sum
+        return [acc // raw_sum for acc in accumulators]
+    shift = weights.qformat.frac_bits
+    # the largest sum that still shifts down to max_raw; larger sums saturate
+    limit = ((config.sample_format.max_raw + 1) << shift) - 1
+    return [(acc if acc <= limit else limit) >> shift for acc in accumulators]
+
+
+# array typecode per item size in bytes (1, 2, 4 and 8 on common platforms)
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _field_bytes(config: FilterConfig) -> int:
+    """Field width F in bytes such that no convolution term reaches 2**(8F).
+
+    A term is sum(w[i] * s[k - i]) <= max_raw * raw_sum, as all operands are
+    non-negative.  F is rounded up to an array item size where one exists.
+    """
+    bound = config.sample_format.max_raw * config.weights.raw_sum
+    need = max(1, -(-bound.bit_length() // 8))
+    return min((size for size in _ARRAY_CODES if size >= need), default=need)
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """One int whose ``width``-byte fields hold ``values``, in native byte order.
+
+    Packing and unpacking use the same order, so field k of a product of
+    packed ints is read back at field k whatever the platform's endianness.
+    """
+    code = _ARRAY_CODES.get(width)
+    if code is not None:
+        return int.from_bytes(array(code, values), sys.byteorder)
+    return int.from_bytes(
+        b"".join(v.to_bytes(width, sys.byteorder) for v in values), sys.byteorder
+    )
+
+
+def _unpack(packed: int, width: int, fields: int, start: int, count: int):
+    """Fields ``start .. start + count - 1`` of an int of ``fields`` fields."""
+    data = memoryview(packed.to_bytes(fields * width, sys.byteorder))
+    data = data[start * width : (start + count) * width]
+    code = _ARRAY_CODES.get(width)
+    if code is not None:
+        accumulators = array(code)
+        accumulators.frombytes(data)
+        return accumulators
+    return [
+        int.from_bytes(data[k : k + width], sys.byteorder)
+        for k in range(0, len(data), width)
+    ]
 
 
 def step_response(config: FilterConfig, seed: int, length: int) -> list[int]:

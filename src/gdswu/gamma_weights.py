@@ -53,12 +53,22 @@ def gamma_pdf(x: float, params: GammaParams) -> float:
     """Gamma density x**(a-1) * exp(-x/b) / (b**a * (a-1)!) for x >= 0.
 
     At x = 0 with a = 1 the power term is taken as 1, so the density starts
-    at 1/b.
+    at 1/b.  A parameter choice whose terms leave the double range (``b**a``
+    underflowing to 0, ``b**a`` or ``x**(a-1)`` overflowing, or an infinite
+    density) is a domain error.
     """
     if x < 0:
         raise ValueError(f"gamma density is defined for x >= 0, got {x}")
     a, b = params.a, params.b
-    return x ** (a - 1) * math.exp(-x / b) / (b ** a * gamma_int(a))
+    try:
+        density = x ** (a - 1) * math.exp(-x / b) / (b ** a * gamma_int(a))
+    except (OverflowError, ZeroDivisionError):
+        density = math.inf
+    if not math.isfinite(density):
+        raise ValueError(
+            f"gamma density at x={x} for a={a}, b={b} is outside the double range"
+        )
+    return density
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,136 @@
+"""CLI golden tests: exact stderr lines and exit codes.
+
+Exit codes: 0 success, 1 data error (malformed input row), 2 usage or
+domain error.  Every failure is one ``error:`` line on stderr, never a
+traceback.
+"""
+
+import csv
+
+import pytest
+
+from gdswu.cli import main
+from gdswu.core import make_config
+from gdswu.oracle import oracle_exact
+
+
+@pytest.fixture
+def csv_file(tmp_path):
+    def write(rows, name="in.csv"):
+        path = tmp_path / name
+        path.write_text("".join(f"{r}\n" for r in rows), encoding="utf-8")
+        return str(path)
+
+    return write
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_run_writes_oracle_outputs(capsys, csv_file):
+    samples = [0, 127, 5, 64, 127, 127, 3] * 5
+    code, out, err = run_cli(capsys, ["run", csv_file(samples), "--taps", "8"])
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["index", "input", "output"]
+    cfg = make_config(taps=8)
+    want = oracle_exact(samples, cfg.weights.raw, cfg.weights.raw_sum)
+    assert [int(r[2]) for r in rows[1:]] == want
+    assert [int(r[1]) for r in rows[1:]] == samples
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "inject"])
+def test_out_of_range_csv_sample_is_a_data_error_naming_the_row(
+    capsys, csv_file, command
+):
+    path = csv_file([1, 2, 300, 4])
+    extra = ["--at", "0"] if command == "inject" else []
+    code, _, err = run_cli(capsys, [command, path, *extra])
+    assert code == 1
+    assert err == f"error: {path} row 3: sample 300 out of range 0..127\n"
+
+
+def test_out_of_range_row_number_counts_the_header(capsys, csv_file):
+    path = csv_file(["sample", 1, -1])
+    code, _, err = run_cli(capsys, ["run", path, "--has-header"])
+    assert code == 1
+    assert err == f"error: {path} row 3: sample -1 out of range 0..127\n"
+
+
+def test_sample_range_follows_sample_width(capsys, csv_file):
+    path = csv_file([255, 256])
+    code, _, err = run_cli(capsys, ["run", path, "--sample-int-bits", "8"])
+    assert code == 1
+    assert err == f"error: {path} row 2: sample 256 out of range 0..255\n"
+
+
+def test_magnitude_out_of_range_is_a_domain_error_naming_the_flag(capsys, csv_file):
+    path = csv_file([1, 2, 3, 4, 5])
+    code, _, err = run_cli(capsys, ["inject", path, "--at", "2", "--magnitude", "0x80"])
+    assert code == 2
+    assert err == "error: --magnitude 128 out of range 0..127\n"
+
+
+def test_dropout_ignores_magnitude(capsys, csv_file):
+    path = csv_file([1, 2, 3, 4, 5])
+    argv = ["inject", path, "--at", "2", "--kind", "dropout", "--magnitude", "200"]
+    code, _, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+
+
+def test_step_seed_out_of_range_is_a_domain_error_naming_the_flag(capsys):
+    code, _, err = run_cli(capsys, ["step", "--seed", "200"])
+    assert code == 2
+    assert err == "error: --seed 200 out of range 0..127\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-a", "20", "-b", "1e-20"], "gamma density at x=0.0 for a=20, b=1e-20"),
+        (["-a", "20", "-b", "1e300"], "gamma density at x=0.0 for a=20, b=1e+300"),
+        (["-b", "1e-310"], "gamma density at x=0.0 for a=1, b=1e-310"),
+    ],
+)
+def test_weights_outside_double_range_is_a_domain_error(capsys, argv, message):
+    code, _, err = run_cli(capsys, ["weights", *argv])
+    assert code == 2
+    assert err == f"error: {message} is outside the double range\n"
+
+
+def test_missing_config_file_is_a_domain_error(capsys, tmp_path):
+    path = str(tmp_path / "absent.cfg")
+    code, _, err = run_cli(capsys, ["weights", "--config", path])
+    assert code == 2
+    assert err == f"error: cannot read config file {path}: No such file or directory\n"
+
+
+def test_config_file_accepts_every_default_key(capsys, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "# every key of DEFAULTS\n"
+        "a = 2\nb = 5.0\ntaps = 8\nfrac_bits = 9\nrounding = half-even\n"
+        "mode = raw-accumulate\nsample_int_bits = 8\nsample_offset = 0.5\n",
+        encoding="utf-8",
+    )
+    code, from_file, err = run_cli(capsys, ["weights", "--config", str(path)])
+    assert (code, err) == (0, "")
+    flags = ["weights", "-a", "2", "-b", "5.0", "--taps", "8", "--frac-bits", "9",
+             "--rounding", "half-even", "--mode", "raw-accumulate",
+             "--sample-int-bits", "8", "--sample-offset", "0.5"]
+    code, from_flags, err = run_cli(capsys, flags)
+    assert (code, err) == (0, "")
+    assert from_file == from_flags
+    offset_zero = run_cli(capsys, flags[:-2])[1]
+    assert from_file != offset_zero
+
+
+def test_config_file_rejects_unknown_key(capsys, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("taps = 8\nwidth = 3\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, ["weights", "--config", str(path)])
+    assert code == 2
+    assert err == f"error: {path} line 2: unknown key 'width'\n"
