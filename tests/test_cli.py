@@ -6,6 +6,7 @@ traceback.
 """
 
 import csv
+import json
 
 import pytest
 
@@ -134,3 +135,96 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["weights", "--config", str(path)])
     assert code == 2
     assert err == f"error: {path} line 2: unknown key 'width'\n"
+
+
+SIMULATE_TAPS_2_TREE = """\
+cycle,input,output,mult_ops,add_ops,other_ops
+1,5,,2,0,0
+2,120,,2,1,0
+3,7,2,2,1,1
+4,0,64,2,1,1
+5,127,61,2,1,1
+6,33,3,2,1,1
+7,64,66,2,1,1
+8,9,78,2,1,1
+9,,49,0,1,1
+10,,35,0,0,1
+{
+  "taps": 2,
+  "architecture": "tree",
+  "latency": 3,
+  "ops": {
+    "multiply": 2,
+    "add": 1,
+    "normalize": 1
+  },
+  "ops_per_cycle_total": 4,
+  "hw_claimed_ops_per_cycle": 22,
+  "ops_delta": -18
+}
+"""
+
+STREAM_8 = [5, 120, 7, 0, 127, 33, 64, 9]
+
+
+def test_simulate_golden_cycle_csv_and_footer(capsys, csv_file):
+    code, out, err = run_cli(capsys, ["simulate", csv_file(STREAM_8), "--taps", "2"])
+    assert (code, err) == (0, "")
+    assert out == SIMULATE_TAPS_2_TREE
+
+
+@pytest.mark.parametrize("architecture, latency", [("tree", 4), ("chain", 5)])
+def test_simulate_footer_of_a_filled_pipeline(capsys, csv_file, tmp_path, architecture, latency):
+    argv = ["simulate", csv_file(STREAM_8), "--taps", "4", "--architecture", architecture,
+            "-o", str(tmp_path / "cycles.csv")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "taps": 4,
+        "architecture": architecture,
+        "latency": latency,
+        "ops": {"multiply": 4, "add": 3, "normalize": 1},
+        "ops_per_cycle_total": 8,
+        "hw_claimed_ops_per_cycle": 22,
+        "ops_delta": -14,
+    }
+
+
+def test_simulate_footer_of_a_stream_shorter_than_the_pipeline(capsys, csv_file, tmp_path):
+    argv = ["simulate", csv_file([3, 7]), "-o", str(tmp_path / "cycles.csv")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "taps": 16,
+        "architecture": "tree",
+        "latency": 6,
+        "ops": {"multiply": 16, "add": 15, "normalize": 1},
+        "ops_per_cycle_total": 32,
+        "hw_claimed_ops_per_cycle": 22,
+        "ops_delta": 10,
+    }
+
+
+INJECT_SPIKE = """\
+{
+  "spec": {
+    "kind": "spike",
+    "start": 2,
+    "duration": 3,
+    "magnitude": 100,
+    "fault_site": "input"
+  },
+  "max_output_deviation": 55,
+  "analytic_bound": 81,
+  "recovery_index": 8,
+  "bound_satisfied": true
+}
+"""
+
+
+def test_inject_golden_report(capsys, csv_file):
+    argv = ["inject", csv_file(STREAM_8), "--taps", "4", "--at", "2", "--duration", "3",
+            "--magnitude", "0x64"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == INJECT_SPIKE
