@@ -6,7 +6,6 @@ cycle-accurate systolic pipeline simulator, and a fault-injection harness.
 """
 
 from .core import (
-    DEFAULT_SAMPLE_FORMAT,
     MODE_NORMALIZED,
     MODE_RAW,
     MODES,
@@ -26,10 +25,8 @@ from .faults import (
 )
 from .fixed_point import (
     ROUNDING_MODES,
-    FixedWord,
     QFormat,
     mac_exact,
-    quantize,
     round_scaled,
 )
 from .gamma_weights import (
@@ -56,7 +53,6 @@ from .systolic import (
     TreePipeline,
     build_pipeline,
     run_pipeline,
-    steady_state_ops,
 )
 
 __version__ = "0.1.0"

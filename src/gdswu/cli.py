@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
+import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
-from .core import (
-    MODE_NORMALIZED,
-    MODE_RAW,
-    MODES,
-    FilterConfig,
-    GammaWindowFilter,
-    make_config,
-    step_response,
-)
+from .core import MODES, FilterConfig, GammaWindowFilter, make_config, step_response
 from .faults import FaultSpec, attenuation_report
 from .fixed_point import ROUNDING_MODES
 from .systolic import (
@@ -31,7 +26,6 @@ from .systolic import (
     build_pipeline,
     cycle_csv_row,
     run_pipeline,
-    steady_state_ops,
 )
 
 # Reference figures quoted for the original FPGA implementation of this unit;
@@ -39,16 +33,12 @@ from .systolic import (
 HW_REPORTED_STEP_STEADY = 0x3A
 HW_CLAIMED_OPS_PER_CYCLE = 22
 
-DEFAULTS = {
-    "a": 1,
-    "b": 10.0,
-    "taps": 16,
-    "frac_bits": 7,
-    "rounding": "half-up",
-    "mode": MODE_NORMALIZED,
-    "sample_int_bits": 7,
-    "sample_offset": 0.0,
+# Config keys and their value types, from the parameters of make_config.
+_CONFIG_TYPES = {
+    name: type(param.default)
+    for name, param in inspect.signature(make_config).parameters.items()
 }
+
 
 class DataError(Exception):
     """Malformed input data (exit code 1)."""
@@ -62,7 +52,7 @@ def parse_int_literal(text: str) -> int:
 def load_config_file(path: str) -> dict:
     """Parse a key=value run-config file; errors name the key and line.
 
-    The keys and their value types are those of ``DEFAULTS``.
+    The keys and their value types are those of ``_CONFIG_TYPES``.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -81,10 +71,10 @@ def load_config_file(path: str) -> dict:
             key, _, raw_value = stripped.partition("=")
             key = key.strip()
             raw_value = raw_value.strip()
-            if key not in DEFAULTS:
+            if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path} line {line_number}: unknown key {key!r}")
             try:
-                values[key] = type(DEFAULTS[key])(raw_value)
+                values[key] = _CONFIG_TYPES[key](raw_value)
             except ValueError:
                 raise ValueError(
                     f"{path} line {line_number}: invalid value {raw_value!r} for key {key!r}"
@@ -93,11 +83,10 @@ def load_config_file(path: str) -> dict:
 
 
 def _resolve_config(ns: argparse.Namespace) -> FilterConfig:
-    """Defaults, overlaid by --config file values, overlaid by explicit flags."""
-    settings = dict(DEFAULTS)
-    if ns.config is not None:
-        settings.update(load_config_file(ns.config))
-    for key in DEFAULTS:
+    """make_config's defaults, overlaid by --config file values, overlaid by
+    explicit flags."""
+    settings = {} if ns.config is None else load_config_file(ns.config)
+    for key in _CONFIG_TYPES:
         flag_value = getattr(ns, key, None)
         if flag_value is not None:
             settings[key] = flag_value
@@ -215,9 +204,7 @@ def cmd_inject(ns: argparse.Namespace) -> int:
     )
     _check_level("--magnitude", spec.replacement_value, config)
     report = attenuation_report(samples, spec, config)
-    payload = {"spec": spec.to_json_dict()}
-    payload.update(report.to_json_dict())
-    _print_json(payload, ns.summary)
+    _print_json({"spec": asdict(spec), **asdict(report)}, ns.summary)
     return 0
 
 
@@ -231,15 +218,18 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         writer.writerow(CYCLE_CSV_HEADER)
         for report in reports:
             writer.writerow(cycle_csv_row(report))
-    ops = steady_state_ops(model)
+    # Ops are those of the first cycle with every stage busy; a stream
+    # shorter than the pipeline never fills it, so it has none to report.
+    full = next((r for r in reports if all(r.stage_occupancy)), None)
+    total = None if full is None else full.total_ops
     footer = {
         "taps": config.taps,
         "architecture": ns.architecture,
         "latency": model.latency,
-        "ops": {k: ops[k] for k in ("multiply", "add", "normalize")},
-        "ops_per_cycle_total": ops["total"],
+        "ops": None if full is None else full.ops,
+        "ops_per_cycle_total": total,
         "hw_claimed_ops_per_cycle": HW_CLAIMED_OPS_PER_CYCLE,
-        "ops_delta": ops["total"] - HW_CLAIMED_OPS_PER_CYCLE,
+        "ops_delta": None if total is None else total - HW_CLAIMED_OPS_PER_CYCLE,
     }
     _print_json(footer, ns.summary)
     return 0
@@ -311,7 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does).  Point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

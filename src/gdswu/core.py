@@ -9,7 +9,8 @@ weighted sum A = sum(raw_weight[i] * sample_at_lag_i), normalized per mode:
   format.  This is the unscaled accumulate reading of the datapath; a full
   0x7F step settles at floor(127 * raw_sum / 128) here, not at the seed.
 
-``push`` evaluates A for one sample with ``mac_exact`` over a ring buffer.
+``push`` evaluates A for one sample with ``mac_exact`` over the window,
+kept oldest first against the weights reversed.
 ``run`` evaluates a whole block with one integer product (Kronecker
 substitution): the carried last ``taps - 1`` samples plus the block, and the
 raw weights, are each packed into one Python int with a field of F bytes
@@ -42,28 +43,29 @@ MODE_NORMALIZED = "normalized-average"
 MODE_RAW = "raw-accumulate"
 MODES: tuple[str, ...] = (MODE_NORMALIZED, MODE_RAW)
 
-DEFAULT_SAMPLE_FORMAT = QFormat(int_bits=7, frac_bits=0)
-
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Window length, weights, sample format and output mode."""
+    """Weights, sample format and output mode; the window length and the
+    gamma parameters are those of the weights."""
 
-    params: GammaParams
-    taps: int
-    sample_format: QFormat
     weights: WeightVector
+    sample_format: QFormat
     mode: str = MODE_NORMALIZED
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.weights.taps != self.taps:
-            raise ValueError(
-                f"weight vector has {self.weights.taps} taps, config says {self.taps}"
-            )
         if self.weights.raw_sum <= 0:
             raise ValueError("degenerate weight vector: raw_sum must be > 0")
+
+    @property
+    def taps(self) -> int:
+        return self.weights.taps
+
+    @property
+    def params(self) -> GammaParams:
+        return self.weights.params
 
 
 def make_config(
@@ -77,18 +79,29 @@ def make_config(
     sample_offset: float = 0.0,
 ) -> FilterConfig:
     """Build a FilterConfig from scalar knobs (defaults: 16 taps, a=1, b=10,
-    7 fractional weight bits, 7-bit samples)."""
+    7 fractional weight bits, 7-bit samples).
+
+    This signature is the run-config schema: its parameters are the config
+    keys, and their defaults give each key's default and value type.
+    """
     params = GammaParams(a, b)
     weights = build_weight_vector(
         params, taps, frac_bits, rounding=rounding, sample_offset=sample_offset
     )
     return FilterConfig(
-        params=params,
-        taps=taps,
-        sample_format=QFormat(sample_int_bits, 0),
-        weights=weights,
-        mode=mode,
+        weights=weights, sample_format=QFormat(sample_int_bits, 0), mode=mode
     )
+
+
+def check_sample(sample, max_raw: int) -> int:
+    """``sample`` as an int in 0..max_raw, the sample format's range.
+
+    A non-integer raises TypeError and an out-of-range value ValueError.
+    """
+    sample = operator.index(sample)
+    if not 0 <= sample <= max_raw:
+        raise ValueError(f"sample {sample} out of range 0..{max_raw}")
+    return sample
 
 
 class GammaWindowFilter:
@@ -103,6 +116,8 @@ class GammaWindowFilter:
         self.config = config
         self._width = _field_bytes(config)
         self._packed_weights = _pack(config.weights.raw, self._width)
+        self._reversed_raw = config.weights.raw[::-1]
+        self._max_raw = config.sample_format.max_raw
         self.reset()
 
     @property
@@ -112,14 +127,13 @@ class GammaWindowFilter:
 
     def push(self, sample: int) -> int:
         """Insert one sample (raw value) and return the filter output."""
-        sample = self._checked(sample)
-        taps = self.config.taps
-        self._head = (self._head + 1) % taps
-        self._window[self._head] = sample
-        if self._fill < taps:
+        sample = check_sample(sample, self._max_raw)
+        window = self._window
+        del window[0]
+        window.append(sample)
+        if self._fill < len(window):
             self._fill += 1
-        ordered = [self._window[(self._head - i) % taps] for i in range(taps)]
-        return _normalize(self.config, [mac_exact(ordered, self.config.weights.raw)])[0]
+        return _normalize(self.config, (mac_exact(window, self._reversed_raw),))[0]
 
     def run(self, samples: Iterable[int]) -> list[int]:
         """Filter a block; output length equals input length.
@@ -129,7 +143,7 @@ class GammaWindowFilter:
         consumed, then the error is raised; a ValueError names the index.
         """
         values = list(samples)
-        max_raw = self.config.sample_format.max_raw
+        max_raw = self._max_raw
         try:
             checked = list(map(operator.index, values))
             in_range = not checked or (min(checked) >= 0 and max(checked) <= max_raw)
@@ -140,7 +154,7 @@ class GammaWindowFilter:
         checked = []
         for index, sample in enumerate(values):
             try:
-                checked.append(self._checked(sample))
+                checked.append(check_sample(sample, max_raw))
             except TypeError:
                 self._run_block(checked)
                 raise
@@ -151,31 +165,20 @@ class GammaWindowFilter:
 
     def reset(self) -> None:
         """Return to the freshly constructed state (window zeroed)."""
-        self._window = [0] * self.config.taps
-        self._head = 0
+        self._window = [0] * self.config.taps  # oldest sample first
         self._fill = 0
-
-    def _checked(self, sample) -> int:
-        sample = operator.index(sample)
-        max_raw = self.config.sample_format.max_raw
-        if not 0 <= sample <= max_raw:
-            raise ValueError(f"sample {sample} out of range 0..{max_raw}")
-        return sample
 
     def _run_block(self, values: list[int]) -> list[int]:
         """Outputs for in-range int samples, by one packed product."""
         if not values:
             return []
         taps = self.config.taps
-        split = self._head + 1
-        oldest_first = self._window[split:] + self._window[:split]
-        stream = oldest_first[1:] + values
+        stream = self._window[1:] + values
         product = _pack(stream, self._width) * self._packed_weights
         accumulators = _unpack(
             product, self._width, len(stream) + taps - 1, taps - 1, len(values)
         )
         self._window = stream[-taps:]
-        self._head = taps - 1
         self._fill = min(taps, self._fill + len(values))
         return _normalize(self.config, accumulators)
 

@@ -2,8 +2,7 @@
 
 Faults model a corrupted upstream decision signal: a spike replaces samples
 with a given level, a stuck fault holds that level, a dropout forces zero.
-Injection happens at the filter input only; ``fault_site`` is reserved for
-future datapath-internal faults and currently must be "input".
+Injection happens at the filter input only.
 
 The analytic deviation bound for a fault of per-sample delta D is
 
@@ -20,7 +19,7 @@ instances.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .core import FilterConfig, GammaWindowFilter, MODE_NORMALIZED
@@ -36,7 +35,6 @@ class FaultSpec:
     start: int
     duration: int = 1
     magnitude: int = 0
-    fault_site: str = "input"
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -47,8 +45,6 @@ class FaultSpec:
             raise ValueError(f"duration must be >= 1, got {self.duration}")
         if operator.index(self.magnitude) < 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
-        if self.fault_site != "input":
-            raise ValueError("only input-site faults are supported")
 
     @property
     def end(self) -> int:
@@ -59,15 +55,6 @@ class FaultSpec:
     def replacement_value(self) -> int:
         return 0 if self.kind == "dropout" else self.magnitude
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "duration": self.duration,
-            "magnitude": self.magnitude,
-            "fault_site": self.fault_site,
-        }
-
 
 @dataclass(frozen=True)
 class AttenuationReport:
@@ -77,14 +64,6 @@ class AttenuationReport:
     analytic_bound: int
     recovery_index: int
     bound_satisfied: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_output_deviation": self.max_output_deviation,
-            "analytic_bound": self.analytic_bound,
-            "recovery_index": self.recovery_index,
-            "bound_satisfied": self.bound_satisfied,
-        }
 
 
 def inject(samples: Sequence[int], spec: FaultSpec) -> list[int]:
@@ -166,9 +145,7 @@ def sweep(
     for i, spec in enumerate(specs):
         stream = streams[0] if len(streams) == 1 else streams[i]
         report = attenuation_report(stream, spec, config)
-        entry = {"spec": spec.to_json_dict()}
-        entry.update(report.to_json_dict())
-        reports.append(entry)
+        reports.append({"spec": asdict(spec), **asdict(report)})
 
     deviations = [r["max_output_deviation"] for r in reports]
     slacks = [r["analytic_bound"] - r["max_output_deviation"] for r in reports]

@@ -6,7 +6,7 @@ accumulation is exact-widening: Python integers never overflow, which models
 an RTL adder tree of adequate width (``ceil(log2 N) + sample_bits +
 weight_bits`` bits for an N-term product sum — for N <= 2**16 and 32-bit
 operands that is at most 80 bits, so no intermediate rounding ever occurs).
-Saturation exists only at quantization boundaries, never inside a sum.
+Saturation exists only in the raw-accumulate output step, never inside a sum.
 
 Exactness holds in one of two ways: Python ints (``mac_exact``), or a width
 proven not to overflow.  The filter's block path (``core.GammaWindowFilter.run``)
@@ -53,31 +53,6 @@ class QFormat:
     def max_raw(self) -> int:
         return (1 << self.total_bits) - 1
 
-    @property
-    def ulp(self) -> float:
-        """Smallest representable increment, 2**-frac_bits."""
-        return 2.0 ** -self.frac_bits
-
-    def to_real(self, raw: int) -> float:
-        return raw * 2.0 ** -self.frac_bits
-
-
-@dataclass(frozen=True)
-class FixedWord:
-    """A raw value interpreted in a QFormat; ``saturated`` marks a clamped quantization."""
-
-    raw: int
-    fmt: QFormat
-    saturated: bool = False
-
-    def __post_init__(self):
-        if not 0 <= self.raw <= self.fmt.max_raw:
-            raise ValueError(f"raw value {self.raw} out of range for {self.fmt}")
-
-    @property
-    def value(self) -> float:
-        return self.fmt.to_real(self.raw)
-
 
 def round_scaled(v, frac_bits: int, rounding: RoundingMode = "half-up") -> int:
     """Round ``v * 2**frac_bits`` to an integer, exactly.
@@ -91,22 +66,6 @@ def round_scaled(v, frac_bits: int, rounding: RoundingMode = "half-up") -> int:
     if rounding == "half-even":
         return round(y)
     raise ValueError(f"unknown rounding mode {rounding!r}")
-
-
-def quantize(v, fmt: QFormat, rounding: RoundingMode = "half-up") -> FixedWord:
-    """Quantize a non-negative real to ``fmt``, saturating at the range top.
-
-    Saturation is reported via the returned word's ``saturated`` flag, never
-    raised.  NaN, infinities and negative inputs are domain errors.
-    """
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ValueError(f"cannot quantize non-finite value {v!r}")
-    if v < 0:
-        raise ValueError(f"cannot quantize negative value {v!r}")
-    raw = round_scaled(v, fmt.frac_bits, rounding)
-    if raw > fmt.max_raw:
-        return FixedWord(fmt.max_raw, fmt, saturated=True)
-    return FixedWord(raw, fmt)
 
 
 def mac_exact(samples: Sequence[int], weights: Sequence[int]) -> int:

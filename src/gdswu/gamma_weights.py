@@ -88,10 +88,6 @@ class WeightVector:
     rounding: RoundingMode = "half-up"
     sample_offset: float = 0.0
 
-    @property
-    def max_raw_weight(self) -> int:
-        return max(self.raw)
-
     def to_json_dict(self) -> dict:
         return {
             "a": self.params.a,

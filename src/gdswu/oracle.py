@@ -29,14 +29,6 @@ class ComparisonReport:
         if (self.mismatch_count == 0) != (self.first_mismatch_index is None):
             raise ValueError("mismatch_count and first_mismatch_index disagree")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_abs_error": self.max_abs_error,
-            "mismatch_count": self.mismatch_count,
-            "first_mismatch_index": self.first_mismatch_index,
-            "bound_used": self.bound_used,
-        }
-
 
 def oracle_exact(
     samples: Sequence[int],

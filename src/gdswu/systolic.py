@@ -15,24 +15,27 @@ appears on tick number ``latency``, then one per tick at steady state):
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
 run ``taps`` multiplies, ``taps - 1`` adds and 1 normalize per cycle at
-steady state — 32 ops for 16 taps.  The original hardware unit quotes
-22 operations per cycle for the same window; the delta is surfaced in
+steady state — 32 ops for 16 taps.  Each tick's ``CycleReport`` counts the
+ops it fired, and the CLI footer reports those measured on the first cycle
+in which every stage is busy, not this formula.  The original hardware unit
+quotes 22 operations per cycle for the same window; the delta is surfaced in
 reports rather than reconciled, since that figure's counting rules are not
 decomposable.
 
-An idle tick (input None) clocks a zero into the delay line and launches no
-output; equivalence with the in-memory filter holds for gapless streams plus
-a trailing drain, which is what ``run_pipeline`` does.
+A tick's sample must be an int in the sample format's range; otherwise the
+tick raises TypeError or ValueError and leaves the model unchanged.  An idle
+tick (input None) clocks a zero into the delay line and launches no output;
+equivalence with the in-memory filter holds for gapless streams plus a
+trailing drain, which is what ``run_pipeline`` does.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .core import MODE_NORMALIZED, FilterConfig
+from .core import FilterConfig, _normalize, check_sample
 
 ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
 
@@ -57,18 +60,14 @@ class PipelineConfig:
     @property
     def tree_depth(self) -> int:
         """Adder-tree levels; a 1-tap tree still occupies one pass-through level."""
-        return max(1, math.ceil(math.log2(self.taps))) if self.taps > 1 else 1
-
-    @property
-    def stage_count(self) -> int:
-        if self.architecture == "tree":
-            return 2 + self.tree_depth
-        return self.taps + 1
+        return max(1, (self.taps - 1).bit_length())
 
     @property
     def latency(self) -> int:
-        """Tick number on which the first output appears; equals stage_count."""
-        return self.stage_count
+        """Stage count, which is also the tick on which the first output appears."""
+        if self.architecture == "tree":
+            return 2 + self.tree_depth
+        return self.taps + 1
 
 
 @dataclass
@@ -101,13 +100,6 @@ def cycle_csv_row(report: CycleReport) -> tuple:
     )
 
 
-def _normalize(acc: int, config: FilterConfig) -> int:
-    weights = config.weights
-    if config.mode == MODE_NORMALIZED:
-        return acc // weights.raw_sum
-    return min(acc >> weights.qformat.frac_bits, config.sample_format.max_raw)
-
-
 def _pairwise(values: list[int]) -> tuple[list[int], int]:
     """One adder-tree level: pairwise sums, odd element passes through."""
     out = []
@@ -126,6 +118,7 @@ class TreePipeline:
     def __init__(self, config: FilterConfig):
         self.config = config
         self.plan = PipelineConfig(config.taps, "tree")
+        self._max_raw = config.sample_format.max_raw
         self._window: deque[int] = deque([0] * config.taps, maxlen=config.taps)
         self._products: list[int] | None = None
         self._sums: list[list[int] | None] = [None] * self.plan.tree_depth
@@ -136,6 +129,8 @@ class TreePipeline:
         return self.plan.latency
 
     def tick(self, sample: int | None = None) -> tuple[int | None, CycleReport]:
+        if sample is not None:
+            sample = check_sample(sample, self._max_raw)
         self._cycle += 1
         ops = {"multiply": 0, "add": 0, "normalize": 0}
 
@@ -143,7 +138,7 @@ class TreePipeline:
         output = None
         final = self._sums[-1]
         if final is not None:
-            output = _normalize(final[0], self.config)
+            output = _normalize(self.config, final)[0]
             ops["normalize"] += 1
 
         # Tree levels consume the previous level's latch from last tick.
@@ -187,6 +182,7 @@ class ChainPipeline:
     def __init__(self, config: FilterConfig):
         self.config = config
         self.plan = PipelineConfig(config.taps, "chain")
+        self._max_raw = config.sample_format.max_raw
         line_len = 2 * config.taps - 1
         self._delay: deque[int] = deque([0] * line_len, maxlen=line_len)
         self._accs: list[int | None] = [None] * config.taps
@@ -197,6 +193,8 @@ class ChainPipeline:
         return self.plan.latency
 
     def tick(self, sample: int | None = None) -> tuple[int | None, CycleReport]:
+        if sample is not None:
+            sample = check_sample(sample, self._max_raw)
         self._cycle += 1
         ops = {"multiply": 0, "add": 0, "normalize": 0}
         taps = self.config.taps
@@ -206,7 +204,7 @@ class ChainPipeline:
 
         output = None
         if self._accs[taps - 1] is not None:
-            output = _normalize(self._accs[taps - 1], self.config)
+            output = _normalize(self.config, (self._accs[taps - 1],))[0]
             ops["normalize"] += 1
 
         new_accs: list[int | None] = [None] * taps
@@ -228,28 +226,8 @@ class ChainPipeline:
 
 def build_pipeline(config: FilterConfig, architecture: str = "tree"):
     """Wire up a pipeline model for the given filter configuration."""
-    if architecture == "tree":
-        return TreePipeline(config)
-    if architecture == "chain":
-        return ChainPipeline(config)
-    raise ValueError(
-        f"unknown architecture {architecture!r}, expected one of {ARCHITECTURES}"
-    )
-
-
-def steady_state_ops(model) -> dict[str, int]:
-    """Per-cycle operation counts once every stage is busy.
-
-    Under the documented convention both architectures count taps
-    multiplies, taps - 1 two-input adds and one normalize.
-    """
-    taps = model.plan.taps
-    return {
-        "multiply": taps,
-        "add": taps - 1,
-        "normalize": 1,
-        "total": 2 * taps,
-    }
+    plan = PipelineConfig(config.taps, architecture)
+    return TreePipeline(config) if plan.architecture == "tree" else ChainPipeline(config)
 
 
 def run_pipeline(model, samples) -> tuple[list[int], list[CycleReport]]:

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from gdswu.core import (
     MODE_NORMALIZED,
     MODE_RAW,
-    FilterConfig,
     GammaWindowFilter,
     impulse_response,
     make_config,
     step_response,
 )
-from gdswu.fixed_point import QFormat
-from gdswu.gamma_weights import GammaParams, build_weight_vector
 
 samples7 = st.lists(st.integers(0, 127), max_size=80)
 
@@ -27,17 +24,6 @@ def test_default_config_matches_sixteen_tap_unit():
     assert cfg.weights.raw_sum == 107
     assert cfg.sample_format.max_raw == 127
     assert cfg.mode == MODE_NORMALIZED
-
-
-def test_config_rejects_tap_mismatch():
-    weights = build_weight_vector(GammaParams(1, 10), taps=8, qformat=7)
-    with pytest.raises(ValueError):
-        FilterConfig(
-            params=GammaParams(1, 10),
-            taps=16,
-            sample_format=QFormat(7, 0),
-            weights=weights,
-        )
 
 
 def test_fresh_filter_outputs_zero_on_zero():
@@ -73,6 +59,13 @@ def test_out_of_range_sample_rejected():
         filt.push(128)
     with pytest.raises(ValueError):
         filt.push(-1)
+
+
+def test_non_integer_sample_rejected():
+    filt = GammaWindowFilter(make_config())
+    with pytest.raises(TypeError):
+        filt.push(2.5)
+    assert filt.fill_count == 0
 
 
 def test_run_reports_failing_sample_index():

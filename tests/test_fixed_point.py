@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gdswu.fixed_point import FixedWord, QFormat, mac_exact, quantize
+from gdswu.fixed_point import QFormat, mac_exact, round_scaled
 
 Q0_7 = QFormat(0, 7)
 Q1_7 = QFormat(1, 7)
@@ -23,7 +23,6 @@ class TestQFormat:
     def test_range(self):
         assert SAMPLE7.max_raw == 127
         assert Q1_7.max_raw == 255
-        assert Q0_7.ulp == 1 / 128
 
     def test_width_limits(self):
         with pytest.raises(ValueError):
@@ -33,58 +32,37 @@ class TestQFormat:
         with pytest.raises(ValueError):
             QFormat(-1, 8)
 
-    def test_to_real_is_exact_scaling(self):
-        assert Q0_7.to_real(13) == 13 / 128
-
-
-class TestFixedWord:
-    def test_value(self):
-        assert FixedWord(13, Q0_7).value == 13 / 128
-
-    def test_out_of_range_raw_rejected(self):
-        with pytest.raises(ValueError):
-            FixedWord(128, SAMPLE7)
-
 
 class TestQuantize:
+    """Weights are quantized by ``round_scaled`` to raw values of a format."""
+
     def test_tenth_in_q7(self):
-        word = quantize(0.1, Q0_7)
-        assert word.raw == 13
-        assert not word.saturated
+        assert round_scaled(0.1, Q0_7.frac_bits) == 13
 
     def test_zero(self):
-        assert quantize(0.0, SAMPLE7).raw == 0
+        assert round_scaled(0.0, SAMPLE7.frac_bits) == 0
 
     def test_exact_one_in_q1_7(self):
-        assert quantize(1.0, Q1_7).raw == 128
-
-    def test_saturation_reported_not_raised(self):
-        word = quantize(10.0, Q1_7)
-        assert word.raw == Q1_7.max_raw
-        assert word.saturated
+        assert round_scaled(1.0, Q1_7.frac_bits) == 128
 
     def test_non_finite_rejected(self):
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                quantize(bad, Q0_7)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            quantize(-0.25, Q0_7)
+            with pytest.raises((ValueError, OverflowError)):
+                round_scaled(bad, Q0_7.frac_bits)
 
     def test_tie_direction_half_up_vs_half_even(self):
         # 2.5/128 is exactly representable, so the scaled value is a true tie
         v = 2.5 / 128
-        assert quantize(v, Q0_7, "half-up").raw == 3
-        assert quantize(v, Q0_7, "half-even").raw == 2
+        assert round_scaled(v, Q0_7.frac_bits, "half-up") == 3
+        assert round_scaled(v, Q0_7.frac_bits, "half-even") == 2
 
     def test_unknown_rounding_rejected(self):
         with pytest.raises(ValueError):
-            quantize(0.1, Q0_7, "stochastic")
+            round_scaled(0.1, Q0_7.frac_bits, "stochastic")
 
     @given(v=st.floats(0, 1.99, allow_nan=False))
     def test_half_up_matches_decimal_path(self, v):
-        assert quantize(v, Q1_7).raw == decimal_half_up(v, 7)
+        assert round_scaled(v, Q1_7.frac_bits) == decimal_half_up(v, 7)
 
     @given(
         v1=st.floats(0, 500, allow_nan=False),
@@ -92,14 +70,14 @@ class TestQuantize:
     )
     def test_monotone(self, v1, v2):
         lo, hi = sorted((v1, v2))
-        fmt = QFormat(4, 6)
-        assert quantize(lo, fmt).raw <= quantize(hi, fmt).raw
+        frac_bits = QFormat(4, 6).frac_bits
+        assert round_scaled(lo, frac_bits) <= round_scaled(hi, frac_bits)
 
     @given(v=st.floats(0, 1.9, allow_nan=False))
     def test_round_trip_within_half_ulp(self, v):
-        word = quantize(v, Q1_7)
-        assert not word.saturated
-        assert abs(word.value - v) <= 2 ** -8
+        raw = round_scaled(v, Q1_7.frac_bits)
+        assert raw <= Q1_7.max_raw
+        assert abs(raw * 2 ** -Q1_7.frac_bits - v) <= 2 ** -8
 
 
 class TestMacExact:
