@@ -249,3 +249,16 @@ def test_reader_closing_stdout_early_ends_quietly_with_exit_1(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("mode, steady", [("normalized-average", 0x7F), ("raw-accumulate", 0x6A)])
+def test_step_reports_the_quoted_figure_unmatched(capsys, tmp_path, mode, steady):
+    # The quoted hardware steady state is 0x3a; the model reaches neither
+    # mode's value and the summary must say so, not tune itself to match.
+    argv = ["step", "--mode", mode, "-o", str(tmp_path / "step.csv")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert summary["steady_value"] == steady
+    assert (summary["hw_reported"], summary["observed"], summary["match"]) == (
+        "0x3a", f"0x{steady:02x}", False)

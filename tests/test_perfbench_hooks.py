@@ -8,7 +8,10 @@ only there.
 import importlib.util
 import os
 
+import pytest
+
 import gdswu.core
+from gdswu.systolic import ARCHITECTURES, build_pipeline
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
@@ -23,3 +26,10 @@ def test_every_traced_attribute_resolves():
     targets.append((gdswu.core, "mac_exact"))
     missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if not hasattr(owner, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_a_pipeline_names_its_architecture(architecture):
+    # tracing.py labels each run_pipeline span with model.plan.architecture
+    model = build_pipeline(gdswu.core.make_config(taps=5), architecture)
+    assert model.plan.architecture == architecture

@@ -3,7 +3,8 @@
 Both models emit the filter's outputs, which equal ``oracle_exact``.  The
 first output appears on tick ``latency``, and every cycle in which every
 stage is busy counts ``taps`` multiplies, ``taps - 1`` adds and one
-normalize.
+normalize.  Every ``CycleReport`` field matches the frozen tick models in
+``reference_systolic``, idle ticks mid-stream included.
 """
 
 import pytest
@@ -12,7 +13,49 @@ from hypothesis import strategies as st
 
 from gdswu.core import GammaWindowFilter, make_config
 from gdswu.systolic import ARCHITECTURES, build_pipeline, run_pipeline
+from reference_systolic import build_reference, run_reference
 from strategies import configs, oracle, streams
+
+REPORT_FIELDS = ("cycle", "consumed_input", "emitted_output", "ops", "stage_occupancy",
+                 "total_ops")
+
+
+def fields(report):
+    return tuple(getattr(report, name) for name in REPORT_FIELDS)
+
+
+def gappy_streams(config, max_size=80):
+    """Ticks of a stream with idle (None) ticks anywhere in it."""
+    top = config.sample_format.max_raw
+    value = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    return st.lists(st.one_of(value, value, st.none()), max_size=max_size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_tick_matches_the_reference_models(data):
+    config = data.draw(configs())
+    architecture = data.draw(st.sampled_from(ARCHITECTURES))
+    model = build_pipeline(config, architecture)
+    reference = build_reference(config, architecture)
+    ticks = data.draw(gappy_streams(config)) + [None] * (model.latency + 1)
+    for sample in ticks:
+        output, report = model.tick(sample)
+        want_output, want = reference.tick(sample)
+        assert output == want_output
+        assert fields(report) == fields(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_pipeline_matches_the_reference_models(data):
+    config = data.draw(configs())
+    stream = data.draw(streams(config))
+    for architecture in ARCHITECTURES:
+        outputs, reports = run_pipeline(build_pipeline(config, architecture), stream)
+        want_outputs, want = run_reference(build_reference(config, architecture), stream)
+        assert outputs == want_outputs
+        assert list(map(fields, reports)) == list(map(fields, want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,6 +115,30 @@ def test_tick_rejects_a_bad_sample_and_clocks_nothing(architecture):
     assert outputs == GammaWindowFilter(config).run(stream)
     output, idle = model.tick(None)
     assert (output, idle.consumed_input, idle.cycle) == (None, None, len(reports) + 1)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("bad, error, message", [
+    (300, ValueError, r"^sample 300 out of range 0\.\.127$"),
+    ("7", TypeError, None),
+])
+def test_a_bad_sample_mid_stream_consumes_the_prefix(architecture, bad, error, message):
+    config = make_config(taps=4)
+    model = build_pipeline(config, architecture)
+    reference = build_reference(config, architecture)
+    prefix = [3, 127, 0, 64, 5]
+    with pytest.raises(error, match=message):
+        run_pipeline(model, [*prefix, bad, 9, 11])
+    for sample in prefix:
+        reference.tick(sample)
+    cycles = []
+    for _ in range(model.latency + 1):
+        output, report = model.tick(None)
+        want_output, want = reference.tick(None)
+        assert output == want_output
+        assert fields(report) == fields(want)
+        cycles.append(report.cycle)
+    assert cycles[0] == len(prefix) + 1
 
 
 def test_unknown_architecture_rejected():
