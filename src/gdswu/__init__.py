@@ -47,10 +47,9 @@ from .oracle import (
 )
 from .systolic import (
     ARCHITECTURES,
-    ChainPipeline,
     CycleReport,
     PipelineConfig,
-    TreePipeline,
+    SystolicPipeline,
     build_pipeline,
     run_pipeline,
 )

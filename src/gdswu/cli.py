@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -146,8 +147,7 @@ def _print_json(obj: dict, path: str) -> None:
 def _write_run_csv(fh, samples, outputs) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(("index", "input", "output"))
-    for i, (x, y) in enumerate(zip(samples, outputs)):
-        writer.writerow((i, x, y))
+    writer.writerows(zip(itertools.count(), samples, outputs))
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
@@ -216,8 +216,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     with _open_out(ns.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CYCLE_CSV_HEADER)
-        for report in reports:
-            writer.writerow(cycle_csv_row(report))
+        writer.writerows(map(cycle_csv_row, reports))
     # Ops are those of the first cycle with every stage busy; a stream
     # shorter than the pipeline never fills it, so it has none to report.
     full = next((r for r in reports if all(r.stage_occupancy)), None)

@@ -104,6 +104,30 @@ def check_sample(sample, max_raw: int) -> int:
     return sample
 
 
+def check_samples(samples: Iterable, max_raw: int, idle: bool = False):
+    """The longest valid prefix of ``samples``, checked, and the error that
+    ``check_sample`` raised for the sample after it (None when all are valid).
+
+    With ``idle``, None items are idle ticks and pass through unchecked.
+    """
+    values = list(samples)
+    try:
+        checked = list(map(operator.index, values))
+        if not checked or (min(checked) >= 0 and max(checked) <= max_raw):
+            return checked, None
+    except TypeError:
+        pass
+    checked = []
+    for sample in values:
+        try:
+            checked.append(
+                None if idle and sample is None else check_sample(sample, max_raw)
+            )
+        except (TypeError, ValueError) as exc:
+            return checked, exc
+    return checked, None
+
+
 class GammaWindowFilter:
     """Sliding-window filter over the most recent ``taps`` samples.
 
@@ -142,26 +166,13 @@ class GammaWindowFilter:
         sample in turn.  At a bad sample the valid prefix before it is
         consumed, then the error is raised; a ValueError names the index.
         """
-        values = list(samples)
-        max_raw = self._max_raw
-        try:
-            checked = list(map(operator.index, values))
-            in_range = not checked or (min(checked) >= 0 and max(checked) <= max_raw)
-        except TypeError:
-            in_range = False
-        if in_range:
-            return self._run_block(checked)
-        checked = []
-        for index, sample in enumerate(values):
-            try:
-                checked.append(check_sample(sample, max_raw))
-            except TypeError:
-                self._run_block(checked)
-                raise
-            except ValueError as exc:
-                self._run_block(checked)
-                raise ValueError(f"sample {index}: {exc}") from exc
-        return self._run_block(checked)
+        checked, error = check_samples(samples, self._max_raw)
+        outputs = self._run_block(checked)
+        if isinstance(error, ValueError):
+            raise ValueError(f"sample {len(checked)}: {error}") from error
+        if error is not None:
+            raise error
+        return outputs
 
     def reset(self) -> None:
         """Return to the freshly constructed state (window zeroed)."""

@@ -1,43 +1,58 @@
 """Cycle-accurate model of the fully pipelined window datapath.
 
-Two architectures, both emitting outputs bit-identical to
-``GammaWindowFilter`` shifted by ``latency - 1`` ticks (the first output
-appears on tick number ``latency``, then one per tick at steady state):
+The model is cycle-accurate at its ports.  Each tick's ``CycleReport`` says
+which sample it consumed, which output it emitted, which stages hold a
+sample and how many ops the busy stages fired.  The partial sums inside the
+latches are not modelled, since nothing outside the datapath can see them.
+
+Each architecture is a stage plan: the ops a stage fires on a tick when it
+holds a sample.
 
 - "tree" (default): one multiplier stage with ``taps`` parallel multipliers,
-  ``max(1, ceil(log2 taps))`` pairwise-adder stages, one normalize stage.
-  Stage count and latency are ``2 + max(1, ceil(log2 taps))`` — 6 for a
-  16-tap window; a single-tap tree degenerates to a pass-through level.
+  ``max(1, ceil(log2 taps))`` adder levels that add their inputs in pairs
+  (an odd one passes through), one normalize stage.  Latency is
+  ``2 + max(1, ceil(log2 taps))``, 6 for a 16-tap window; a single-tap tree
+  keeps one pass-through level.
 - "chain": a linear string of multiply-accumulate elements, one per tap,
-  reading a double-spaced delay line, plus the normalize stage; latency is
-  ``taps + 1``.
+  reading a double-spaced delay line (the systolic direct form), plus the
+  normalize stage; latency is ``taps + 1``.
+
+Both plans compute the window sum sum(raw[i] * x[t - i]) of the same
+non-negative integers and differ only in the order of the additions.  Python
+integer addition is exact and associative, so no order can change a sum:
+the model takes every output from one ``GammaWindowFilter.run`` call per
+block of ticks and delays it by ``latency - 1`` ticks in a FIFO, so the
+first output appears on tick ``latency``.  Stage occupancy is a shift
+register of ``latency`` valid bits, and a tick's op counts are the sum of
+the plan over its busy stages.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
 run ``taps`` multiplies, ``taps - 1`` adds and 1 normalize per cycle at
-steady state — 32 ops for 16 taps.  Each tick's ``CycleReport`` counts the
-ops it fired, and the CLI footer reports those measured on the first cycle
-in which every stage is busy, not this formula.  The original hardware unit
-quotes 22 operations per cycle for the same window; the delta is surfaced in
-reports rather than reconciled, since that figure's counting rules are not
-decomposable.
+steady state — 32 ops for 16 taps.  The CLI footer reports the ops measured
+on the first cycle in which every stage is busy, not this formula.  The
+original hardware unit quotes 22 operations per cycle for the same window;
+the delta is surfaced in reports rather than reconciled, since that
+figure's counting rules are not decomposable.
 
 A tick's sample must be an int in the sample format's range; otherwise the
 tick raises TypeError or ValueError and leaves the model unchanged.  An idle
-tick (input None) clocks a zero into the delay line and launches no output;
-equivalence with the in-memory filter holds for gapless streams plus a
-trailing drain, which is what ``run_pipeline`` does.
+tick (input None) clocks a zero into the delay line, as the hardware's shift
+register does, and launches no output.  Idle ticks may come anywhere: an
+output is that of the filter run over the stream with a zero in place of
+every idle tick before it.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
-from .core import FilterConfig, _normalize, check_sample
+from .core import FilterConfig, GammaWindowFilter, check_samples
 
 ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
+OPS: tuple[str, ...] = ("multiply", "add", "normalize")
 
 
 @dataclass(frozen=True)
@@ -69,10 +84,26 @@ class PipelineConfig:
             return 2 + self.tree_depth
         return self.taps + 1
 
+    @property
+    def stage_ops(self) -> tuple[tuple[int, int, int], ...]:
+        """The (multiply, add, normalize) ops each stage fires while busy."""
+        if self.architecture == "chain":
+            return ((1, 0, 0), *[(1, 1, 0)] * (self.taps - 1), (0, 0, 1))
+        stages = [(self.taps, 0, 0)]
+        width = self.taps
+        for _ in range(self.tree_depth):
+            stages.append((0, width // 2, 0))
+            width -= width // 2
+        return (*stages, (0, 0, 1))
 
-@dataclass
+
+@dataclass(slots=True)
 class CycleReport:
-    """What one clock tick did: ops fired, stage occupancy, any output."""
+    """What one clock tick did: ops fired, stage occupancy, any output.
+
+    The reports of one block of ticks with the same occupancy share one
+    ``ops`` dict and one ``stage_occupancy`` tuple; treat both as read-only.
+    """
 
     cycle: int
     consumed_input: int | None
@@ -100,149 +131,89 @@ def cycle_csv_row(report: CycleReport) -> tuple:
     )
 
 
-def _pairwise(values: list[int]) -> tuple[list[int], int]:
-    """One adder-tree level: pairwise sums, odd element passes through."""
-    out = []
-    adds = 0
-    for i in range(0, len(values) - 1, 2):
-        out.append(values[i] + values[i + 1])
-        adds += 1
-    if len(values) % 2:
-        out.append(values[-1])
-    return out, adds
+class SystolicPipeline:
+    """One architecture's stage plan, clocked over the filter's outputs."""
 
-
-class TreePipeline:
-    """Multiplier stage -> binary adder tree -> normalize, one latch per stage."""
-
-    def __init__(self, config: FilterConfig):
+    def __init__(self, config: FilterConfig, architecture: str = "tree"):
         self.config = config
-        self.plan = PipelineConfig(config.taps, "tree")
+        self.plan = PipelineConfig(config.taps, architecture)
         self._max_raw = config.sample_format.max_raw
-        self._window: deque[int] = deque([0] * config.taps, maxlen=config.taps)
-        self._products: list[int] | None = None
-        self._sums: list[list[int] | None] = [None] * self.plan.tree_depth
+        self._filter = GammaWindowFilter(config)
+        self._stage_ops = self.plan.stage_ops
+        self._in_flight: list[int | None] = [None] * (self.latency - 1)
+        self._valid = 0  # bit k set: the sample of k ticks ago is real
         self._cycle = 0
 
     @property
     def latency(self) -> int:
         return self.plan.latency
 
-    def tick(self, sample: int | None = None) -> tuple[int | None, CycleReport]:
-        if sample is not None:
-            sample = check_sample(sample, self._max_raw)
-        self._cycle += 1
-        ops = {"multiply": 0, "add": 0, "normalize": 0}
-
-        # Normalize stage consumes the last tree level's latch.
-        output = None
-        final = self._sums[-1]
-        if final is not None:
-            output = _normalize(self.config, final)[0]
-            ops["normalize"] += 1
-
-        # Tree levels consume the previous level's latch from last tick.
-        new_sums: list[list[int] | None] = [None] * self.plan.tree_depth
-        for level in range(self.plan.tree_depth - 1, 0, -1):
-            below = self._sums[level - 1]
-            if below is not None:
-                new_sums[level], adds = _pairwise(below)
-                ops["add"] += adds
-        if self._products is not None:
-            new_sums[0], adds = _pairwise(self._products)
-            ops["add"] += adds
-
-        # Multiplier stage: the delay line clocks every tick (zero on idle);
-        # products latch only when a real sample entered.
-        self._window.appendleft(0 if sample is None else sample)
-        new_products = None
-        if sample is not None:
-            new_products = [w * x for w, x in zip(self.config.weights.raw, self._window)]
-            ops["multiply"] += len(new_products)
-
-        self._products = new_products
-        self._sums = new_sums
-        occupancy = (
-            self._products is not None,
-            *(s is not None for s in self._sums),
-            output is not None,
-        )
-        report = CycleReport(self._cycle, sample, output, ops, occupancy)
-        return output, report
-
-
-class ChainPipeline:
-    """Linear MAC chain: element j adds weight[j] times the lag-j sample.
-
-    The delay line is double-spaced (element j reads position 2j) so that a
-    partial sum travelling down the chain always meets the sample it needs —
-    the classic systolic direct form.
-    """
-
-    def __init__(self, config: FilterConfig):
-        self.config = config
-        self.plan = PipelineConfig(config.taps, "chain")
-        self._max_raw = config.sample_format.max_raw
-        line_len = 2 * config.taps - 1
-        self._delay: deque[int] = deque([0] * line_len, maxlen=line_len)
-        self._accs: list[int | None] = [None] * config.taps
-        self._cycle = 0
-
     @property
-    def latency(self) -> int:
-        return self.plan.latency
+    def pending(self) -> int:
+        """Idle ticks until the last sample in flight emits its output."""
+        in_flight = self._valid & ((1 << (self.latency - 1)) - 1)
+        # the newest sample in flight is the lowest set bit
+        return self.latency - (in_flight & -in_flight).bit_length() if in_flight else 0
 
     def tick(self, sample: int | None = None) -> tuple[int | None, CycleReport]:
-        if sample is not None:
-            sample = check_sample(sample, self._max_raw)
-        self._cycle += 1
-        ops = {"multiply": 0, "add": 0, "normalize": 0}
-        taps = self.config.taps
-        raw = self.config.weights.raw
+        emitted, reports = self.clock([sample])
+        return emitted[0], reports[0]
 
-        self._delay.appendleft(0 if sample is None else sample)
+    def clock(self, samples) -> tuple[list[int | None], list[CycleReport]]:
+        """One tick per item of ``samples``, None being an idle tick.
 
-        output = None
-        if self._accs[taps - 1] is not None:
-            output = _normalize(self.config, (self._accs[taps - 1],))[0]
-            ops["normalize"] += 1
+        Returns each tick's output (None when it emitted none) and report.
+        At a bad sample the ticks before it are clocked, then the error of
+        ``check_sample`` is raised.
+        """
+        ticks, error = check_samples(samples, self._max_raw, idle=True)
+        emitted, reports = self._clock(ticks)
+        if error is not None:
+            raise error
+        return emitted, reports
 
-        new_accs: list[int | None] = [None] * taps
-        for j in range(taps - 1, 0, -1):
-            upstream = self._accs[j - 1]
-            if upstream is not None:
-                new_accs[j] = upstream + raw[j] * self._delay[2 * j]
-                ops["multiply"] += 1
-                ops["add"] += 1
-        if sample is not None:
-            new_accs[0] = raw[0] * self._delay[0]
-            ops["multiply"] += 1
+    def _clock(self, ticks: list[int | None]):
+        count = len(ticks)
+        if None in ticks:
+            outputs = self._filter.run([0 if x is None else x for x in ticks])
+            outputs = [None if x is None else y for x, y in zip(ticks, outputs)]
+        else:
+            outputs = self._filter.run(ticks)
+        stream = self._in_flight + outputs
+        emitted, self._in_flight = stream[:count], stream[count:]
 
-        self._accs = new_accs
-        occupancy = (*(a is not None for a in self._accs), output is not None)
-        report = CycleReport(self._cycle, sample, output, ops, occupancy)
-        return output, report
+        valid, mask = self._valid, (1 << self.latency) - 1
+        history = []
+        for x in ticks:
+            valid = (valid << 1 | (x is not None)) & mask
+            history.append(valid)
+        self._valid = valid
+        # one occupancy tuple and ops dict per valid-bit pattern in the block
+        ops, occupancy = {}, {}
+        for bits in set(history):
+            busy = occupancy[bits] = tuple(bits >> k & 1 == 1 for k in range(self.latency))
+            fired = [stage for stage, on in zip(self._stage_ops, busy) if on]
+            ops[bits] = dict(zip(OPS, map(sum, zip((0, 0, 0), *fired))))
+
+        start = self._cycle + 1
+        self._cycle += count
+        reports = list(map(
+            CycleReport, range(start, start + count), ticks, emitted,
+            map(ops.__getitem__, history), map(occupancy.__getitem__, history),
+        ))
+        return emitted, reports
 
 
-def build_pipeline(config: FilterConfig, architecture: str = "tree"):
+def build_pipeline(config: FilterConfig, architecture: str = "tree") -> SystolicPipeline:
     """Wire up a pipeline model for the given filter configuration."""
-    plan = PipelineConfig(config.taps, architecture)
-    return TreePipeline(config) if plan.architecture == "tree" else ChainPipeline(config)
+    return SystolicPipeline(config, architecture)
 
 
 def run_pipeline(model, samples) -> tuple[list[int], list[CycleReport]]:
-    """Feed a gapless stream, then drain with idle ticks until every output
-    has emerged.  Returns (outputs, per-cycle reports)."""
-    outputs: list[int] = []
-    reports: list[CycleReport] = []
-    for sample in samples:
-        out, report = model.tick(sample)
-        reports.append(report)
-        if out is not None:
-            outputs.append(out)
-    while len(outputs) < len(samples):
-        out, report = model.tick(None)
-        reports.append(report)
-        if out is not None:
-            outputs.append(out)
+    """Clock ``samples`` as one block (None is an idle tick), then idle ticks
+    until every output has emerged.  Returns (outputs, per-cycle reports)."""
+    emitted, reports = model.clock(samples)
+    drained, drain_reports = model.clock([None] * model.pending)
+    outputs = [y for y in chain(emitted, drained) if y is not None]
+    reports.extend(drain_reports)
     return outputs, reports

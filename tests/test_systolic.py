@@ -48,6 +48,23 @@ def test_every_tick_matches_the_reference_models(data):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+def test_a_gappy_stream_in_one_block_matches_the_reference_models(data):
+    config = data.draw(configs())
+    architecture = data.draw(st.sampled_from(ARCHITECTURES))
+    stream = data.draw(gappy_streams(config))
+    outputs, reports = run_pipeline(build_pipeline(config, architecture), stream)
+    reference = build_reference(config, architecture)
+    drain = len(reports) - len(stream)
+    want = [reference.tick(sample) for sample in stream + [None] * drain]
+    assert list(map(fields, reports)) == [fields(report) for _, report in want]
+    assert outputs == [output for output, _ in want if output is not None]
+    # the drain stops on the tick that emits the last output
+    assert len(outputs) == len(stream) - stream.count(None)
+    assert drain >= 0 and (drain == 0 or reports[-1].emitted_output is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
 def test_run_pipeline_matches_the_reference_models(data):
     config = data.draw(configs())
     stream = data.draw(streams(config))
