@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdswu.core import MODES, FilterConfig, GammaWindowFilter
 from gdswu.fixed_point import QFormat
 from gdswu.gamma_weights import (
     GammaParams,
+    WeightVector,
     build_weight_vector,
     gamma_int,
     gamma_pdf,
 )
+from gdswu.oracle import oracle_exact
 
 
 def scale_round_oracle(a, b, taps, frac_bits, offset=0.0):
@@ -167,3 +170,47 @@ class TestBuildWeightVector:
         except ValueError:
             return
         assert all(wv.raw[i] >= wv.raw[i + 1] for i in range(taps - 1))
+
+
+def hand_built(raw, **fields):
+    """A WeightVector built directly, not by build_weight_vector."""
+    return WeightVector(
+        raw=raw,
+        ideal=(0.5,) * len(raw),
+        qformat=QFormat(1, 2),
+        params=GammaParams(1, 10),
+        **fields,
+    )
+
+
+class TestHandBuiltWeightVector:
+    """``taps`` and ``raw_sum`` are computed from ``raw``, never passed in,
+    so the block kernel's no-carry bound cannot be told a wrong sum."""
+
+    def test_taps_and_raw_sum_follow_raw(self):
+        wv = hand_built((2, 2))
+        assert (wv.taps, wv.raw_sum) == (2, 4)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_push_and_oracle_agree_at_full_scale(self, mode):
+        wv = hand_built((2, 2))
+        cfg = FilterConfig(weights=wv, sample_format=QFormat(7, 0), mode=mode)
+        stream = [127, 127, 127, 3, 0, 0, 127, 0, 127, 127]
+        expected = oracle_exact(stream, wv.raw, wv.raw_sum, mode, 2, 127)
+        assert GammaWindowFilter(cfg).run(stream) == expected
+        pushed = GammaWindowFilter(cfg)
+        assert [pushed.push(s) for s in stream] == expected
+
+    @pytest.mark.parametrize("field", ["taps", "raw_sum"])
+    def test_derived_fields_cannot_be_passed(self, field):
+        with pytest.raises(TypeError):
+            hand_built((2, 2), **{field: 1})
+
+    def test_all_zero_raw_rejected(self):
+        with pytest.raises(ValueError, match="all 2 weights quantized to zero"):
+            hand_built((0, 0))
+
+    @pytest.mark.parametrize("raw", [(2, -1), (2, 2.0), (2, "2")])
+    def test_negative_or_non_int_raw_rejected(self, raw):
+        with pytest.raises(ValueError):
+            hand_built(raw)
