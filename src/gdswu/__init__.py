@@ -11,7 +11,6 @@ from .core import (
     MODES,
     FilterConfig,
     GammaWindowFilter,
-    impulse_response,
     make_config,
     step_response,
 )
@@ -30,7 +29,6 @@ from .fixed_point import (
     round_scaled,
 )
 from .gamma_weights import (
-    DEFAULT_WEIGHT_FORMAT,
     MAX_SHAPE,
     GammaParams,
     WeightVector,

@@ -56,8 +56,6 @@ class FilterConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.weights.raw_sum <= 0:
-            raise ValueError("degenerate weight vector: raw_sum must be > 0")
 
     @property
     def taps(self) -> int:
@@ -261,12 +259,3 @@ def step_response(config: FilterConfig, seed: int, length: int) -> list[int]:
         raise ValueError(f"length must be >= taps ({config.taps}), got {length}")
     return GammaWindowFilter(config).run([seed] * length)
 
-
-def impulse_response(config: FilterConfig, magnitude: int) -> list[int]:
-    """Outputs for a single sample of ``magnitude`` followed by zeros.
-
-    In normalized mode output[i] = floor(magnitude * raw[i] / raw_sum): the
-    quantized, scaled weight curve, one entry per tap.
-    """
-    stream = [magnitude] + [0] * (config.taps - 1)
-    return GammaWindowFilter(config).run(stream)

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .fixed_point import QFormat, ROUNDING_MODES, RoundingMode, round_scaled
+from .fixed_point import QFormat, RoundingMode, round_scaled
 
 # Shapes above this would still be exact in Python but land outside any
 # sensible window parameterization; reject instead of approximating.
 MAX_SHAPE = 20
-
-DEFAULT_WEIGHT_FORMAT = QFormat(int_bits=1, frac_bits=7)
 
 
 @dataclass(frozen=True)
@@ -75,18 +73,35 @@ def gamma_pdf(x: float, params: GammaParams) -> float:
 class WeightVector:
     """Quantized tap weights plus the ideal density values they came from.
 
-    ``raw[i]`` is exactly ``rounding(ideal[i] * 2**frac_bits)`` and
-    ``raw_sum`` is the exact integer sum of the raw weights.
+    ``raw[i]`` is exactly ``rounding(ideal[i] * 2**frac_bits)``.  ``taps``
+    and ``raw_sum`` (the exact integer sum) are computed from ``raw``, and
+    construction is the one check that a weight vector is valid:
+    non-negative int weights with a positive sum.
     """
 
-    taps: int
     raw: tuple[int, ...]
     ideal: tuple[float, ...]
-    raw_sum: int
     qformat: QFormat
     params: GammaParams
     rounding: RoundingMode = "half-up"
     sample_offset: float = 0.0
+    taps: int = field(init=False)
+    raw_sum: int = field(init=False)
+
+    def __post_init__(self):
+        raw = tuple(self.raw)
+        if not all(isinstance(w, int) and w >= 0 for w in raw):
+            raise ValueError(f"raw weights must be non-negative ints, got {raw}")
+        raw_sum = sum(raw)
+        if raw_sum <= 0:
+            raise ValueError(
+                f"all {len(raw)} weights quantized to zero at "
+                f"frac_bits={self.qformat.frac_bits}; "
+                "increase frac_bits or change the distribution parameters"
+            )
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "taps", len(raw))
+        object.__setattr__(self, "raw_sum", raw_sum)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,59 +119,30 @@ class WeightVector:
 def build_weight_vector(
     params: GammaParams,
     taps: int,
-    qformat: QFormat | int | None = None,
+    frac_bits: int,
     rounding: RoundingMode = "half-up",
     sample_offset: float = 0.0,
 ) -> WeightVector:
-    """Evaluate the gamma density at each lag and quantize to tap weights.
-
-    ``qformat`` may be a full QFormat (raw weights must fit it), a bare int
-    meaning frac_bits with the integer width auto-sized to fit, or None for
-    the default Q1.7 weight format.  Construction fails if every weight
-    quantizes to zero (the filter would be degenerate) or if a weight
-    overflows an explicitly requested format.
+    """Evaluate the gamma density at each lag and quantize to tap weights
+    with ``frac_bits`` fractional bits; the integer width is sized to fit
+    the largest weight.
     """
     taps = operator.index(taps)
     if taps < 1:
         raise ValueError(f"taps must be >= 1, got {taps}")
-    if rounding not in ROUNDING_MODES:
-        raise ValueError(f"unknown rounding mode {rounding!r}")
     offset = float(sample_offset)
     if not math.isfinite(offset) or offset < 0:
         raise ValueError(f"sample_offset must be finite and >= 0, got {sample_offset}")
-
-    if qformat is None:
-        qformat = DEFAULT_WEIGHT_FORMAT
-    if isinstance(qformat, QFormat):
-        frac_bits = qformat.frac_bits
-        auto_size = False
-    else:
-        frac_bits = operator.index(qformat)
-        qformat = None
-        auto_size = True
+    frac_bits = operator.index(frac_bits)
     if frac_bits < 1:
         raise ValueError(f"weight format needs frac_bits >= 1, got {frac_bits}")
 
     ideal = tuple(gamma_pdf(i + offset, params) for i in range(taps))
     raw = tuple(round_scaled(v, frac_bits, rounding) for v in ideal)
-    raw_sum = sum(raw)
-    if raw_sum <= 0:
-        raise ValueError(
-            f"all {taps} weights quantized to zero at frac_bits={frac_bits}; "
-            "increase frac_bits or change the distribution parameters"
-        )
-    if auto_size:
-        qformat = QFormat(max(0, max(raw).bit_length() - frac_bits), frac_bits)
-    elif max(raw) > qformat.max_raw:
-        raise ValueError(
-            f"weight {max(raw)} does not fit {qformat}; widen int_bits"
-        )
     return WeightVector(
-        taps=taps,
         raw=raw,
         ideal=ideal,
-        raw_sum=raw_sum,
-        qformat=qformat,
+        qformat=QFormat(max(0, max(raw).bit_length() - frac_bits), frac_bits),
         params=params,
         rounding=rounding,
         sample_offset=offset,

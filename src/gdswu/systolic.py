@@ -20,8 +20,8 @@ holds a sample.
 Both plans compute the window sum sum(raw[i] * x[t - i]) of the same
 non-negative integers and differ only in the order of the additions.  Python
 integer addition is exact and associative, so no order can change a sum:
-the model takes every output from one ``GammaWindowFilter.run`` call per
-block of ticks and delays it by ``latency - 1`` ticks in a FIFO, so the
+the model takes every output from one pass of the filter's block kernel
+per block of ticks and delays it by ``latency - 1`` ticks in a FIFO, so the
 first output appears on tick ``latency``.  Stage occupancy is a shift
 register of ``latency`` valid bits, and a tick's op counts are the sum of
 the plan over its busy stages.
@@ -173,12 +173,13 @@ class SystolicPipeline:
         return emitted, reports
 
     def _clock(self, ticks: list[int | None]):
+        # the ticks are checked already, so they skip run's sample check
         count = len(ticks)
         if None in ticks:
-            outputs = self._filter.run([0 if x is None else x for x in ticks])
+            outputs = self._filter._run_block([0 if x is None else x for x in ticks])
             outputs = [None if x is None else y for x, y in zip(ticks, outputs)]
         else:
-            outputs = self._filter.run(ticks)
+            outputs = self._filter._run_block(ticks)
         stream = self._in_flight + outputs
         emitted, self._in_flight = stream[:count], stream[count:]
 

@@ -9,7 +9,6 @@ from gdswu.core import (
     MODE_NORMALIZED,
     MODE_RAW,
     GammaWindowFilter,
-    impulse_response,
     make_config,
     step_response,
 )
@@ -113,15 +112,15 @@ class TestStepResponse:
 
 class TestImpulseResponse:
     def test_zero_magnitude(self):
-        assert impulse_response(make_config(), 0) == [0] * 16
+        assert GammaWindowFilter(make_config()).run([0] * 16) == [0] * 16
 
     def test_single_tap(self):
-        assert impulse_response(make_config(taps=1), 93) == [93]
+        assert GammaWindowFilter(make_config(taps=1)).run([93]) == [93]
 
     def test_full_scale_is_scaled_weight_curve(self):
         cfg = make_config()
         expected = [127 * w // 107 for w in cfg.weights.raw]
-        got = impulse_response(cfg, 127)
+        got = GammaWindowFilter(cfg).run([127] + [0] * 15)
         assert got == expected
         assert got[:3] == [15, 14, 11]
 

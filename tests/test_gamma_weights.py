@@ -100,45 +100,41 @@ class TestGammaParams:
 
 class TestBuildWeightVector:
     def test_default_unit_leading_weights(self):
-        wv = build_weight_vector(GammaParams(1, 10), taps=16, qformat=7)
+        wv = build_weight_vector(GammaParams(1, 10), taps=16, frac_bits=7)
         assert wv.raw[:3] == (13, 12, 10)
         assert wv.raw == tuple(scale_round_oracle(1, 10.0, 16, 7))
         assert wv.raw_sum == 107
         assert wv.raw_sum == sum(wv.raw)
 
     def test_single_tap(self):
-        wv = build_weight_vector(GammaParams(1, 10), taps=1, qformat=7)
+        wv = build_weight_vector(GammaParams(1, 10), taps=1, frac_bits=7)
         assert wv.raw == (13,)
         assert wv.raw_sum == 13
 
     def test_monotone_for_shape_one(self):
-        wv = build_weight_vector(GammaParams(1, 10), taps=16, qformat=7)
+        wv = build_weight_vector(GammaParams(1, 10), taps=16, frac_bits=7)
         assert all(wv.raw[i] >= wv.raw[i + 1] for i in range(15))
         assert all(wv.ideal[i] > wv.ideal[i + 1] for i in range(15))
 
     def test_all_zero_weights_rejected(self):
         # 0.1 * 2**2 rounds to 0 at every lag
         with pytest.raises(ValueError):
-            build_weight_vector(GammaParams(1, 10), taps=16, qformat=2)
-
-    def test_explicit_format_overflow_rejected(self):
-        # density at 0 for b=0.5 is 2.0 -> raw 256 needs more than Q1.7
-        with pytest.raises(ValueError):
-            build_weight_vector(GammaParams(1, 0.5), taps=4, qformat=QFormat(1, 7))
+            build_weight_vector(GammaParams(1, 10), taps=16, frac_bits=2)
 
     def test_explicit_format_accepted_when_wide_enough(self):
-        wv = build_weight_vector(GammaParams(1, 0.5), taps=4, qformat=QFormat(2, 7))
+        # density at 0 for b=0.5 is 2.0 -> raw 256, wider than Q1.7
+        wv = build_weight_vector(GammaParams(1, 0.5), taps=4, frac_bits=7)
         assert wv.raw[0] == 256
 
     def test_sample_offset_shifts_points(self):
-        base = build_weight_vector(GammaParams(1, 10), taps=4, qformat=7)
+        base = build_weight_vector(GammaParams(1, 10), taps=4, frac_bits=7)
         shifted = build_weight_vector(
-            GammaParams(1, 10), taps=4, qformat=7, sample_offset=1.0
+            GammaParams(1, 10), taps=4, frac_bits=7, sample_offset=1.0
         )
         assert shifted.ideal[:3] == base.ideal[1:]
 
     def test_json_round_trip_fields(self):
-        wv = build_weight_vector(GammaParams(1, 10), taps=16, qformat=7)
+        wv = build_weight_vector(GammaParams(1, 10), taps=16, frac_bits=7)
         blob = wv.to_json_dict()
         assert list(blob) == [
             "a", "b", "taps", "frac_bits", "rounding", "raw", "ideal", "raw_sum",
