@@ -3,7 +3,8 @@
 All data outputs are deterministic: CSV with LF line endings, JSON with a
 stable key order, no timestamps.  Seeds and magnitudes accept 0x-prefixed
 hex; CSV values are always decimal.  Exit codes: 0 success, 1 data error
-(malformed or out-of-range input row), 2 usage or domain error.
+(unreadable input, malformed or out-of-range input row), 2 usage or domain
+error (an unreadable config file or unwritable output included).
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _read_samples(path: str, has_header: bool, max_raw: int) -> list[int]:
         try:
             with open(path, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
     samples = []
     for row_number, row in enumerate(rows, start=1):
@@ -134,9 +135,13 @@ def _check_level(flag: str, value: int, config: FilterConfig) -> None:
 def _open_out(path: str):
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def _print_json(obj: dict, path: str) -> None:

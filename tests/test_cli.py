@@ -114,6 +114,43 @@ def test_missing_config_file_is_a_domain_error(capsys, tmp_path):
     assert err == f"error: cannot read config file {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("run", "-o"),
+        ("step", "-o"),
+        ("step", "--summary"),
+        ("simulate", "-o"),
+        ("simulate", "--summary"),
+        ("inject", "--summary"),
+    ],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing", "No such file or directory"), ("directory", "Is a directory")],
+)
+def test_unwritable_output_is_a_domain_error(
+    capsys, csv_file, tmp_path, command, flag, target, reason
+):
+    path = str(tmp_path / "absent" / "out" if target == "missing" else tmp_path)
+    inputs = [] if command == "step" else [csv_file([1, 2, 3, 4, 5])]
+    extra = ["--at", "0"] if command == "inject" else []
+    code, _, err = run_cli(capsys, [command, *inputs, *extra, flag, path])
+    assert code == 2
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
+def test_non_utf8_input_is_a_data_error_naming_the_path(capsys, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"1\n\xff\n3\n")
+    code, _, err = run_cli(capsys, ["run", str(path)])
+    assert code == 1
+    assert err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 2: invalid start byte\n"
+    )
+
+
 def test_config_file_accepts_every_default_key(capsys, tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
