@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 
 from .core import MODES, FilterConfig, GammaWindowFilter, make_config, step_response
 from .faults import FaultSpec, attenuation_report
@@ -209,7 +208,7 @@ def cmd_inject(ns: argparse.Namespace) -> int:
     )
     _check_level("--magnitude", spec.replacement_value, config)
     report = attenuation_report(samples, spec, config)
-    _print_json({"spec": asdict(spec), **asdict(report)}, ns.summary)
+    _print_json({"spec": dict(vars(spec)), **vars(report)}, ns.summary)
     return 0
 
 

@@ -34,7 +34,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .fixed_point import QFormat, RoundingMode, mac_exact
 from .gamma_weights import GammaParams, WeightVector, build_weight_vector
@@ -126,6 +126,14 @@ def check_samples(samples: Iterable, max_raw: int, idle: bool = False):
     return checked, None
 
 
+def raise_sample_error(error: Exception, index: int) -> NoReturn:
+    """Raise ``check_sample``'s ``error`` for the sample at ``index`` of a
+    stream: a ValueError is raised again naming the index, a TypeError as is."""
+    if isinstance(error, ValueError):
+        raise ValueError(f"sample {index}: {error}") from error
+    raise error
+
+
 class GammaWindowFilter:
     """Sliding-window filter over the most recent ``taps`` samples.
 
@@ -166,10 +174,8 @@ class GammaWindowFilter:
         """
         checked, error = check_samples(samples, self._max_raw)
         outputs = self._run_block(checked)
-        if isinstance(error, ValueError):
-            raise ValueError(f"sample {len(checked)}: {error}") from error
         if error is not None:
-            raise error
+            raise_sample_error(error, len(checked))
         return outputs
 
     def reset(self) -> None:

@@ -14,15 +14,34 @@ interaction of the two floor divisions on the clean and faulty paths.  The
 largest weights are taken from the actual vector, not assumed to sit at
 lag 0.  Sweeps are embarrassingly parallel: every report uses fresh filter
 instances.
+
+A report filters only the span of the stream that a fault can reach.  An
+output depends on the last ``taps`` samples alone (finite support), so the
+clean and faulty outputs can differ only at indices ``start .. end + taps -
+2``, and each of those depends on samples from ``start - taps + 1`` on.  Both
+filters run over ``stream[lo:hi]`` with ``lo = max(0, start - taps + 1)`` and
+``hi = min(n, end + taps - 1)``, and the first ``start - lo`` outputs are
+dropped.  When ``lo == 0`` a fresh filter's zero padding is the stream's own
+start; when ``lo > 0`` every kept output sees only samples in the span.  So
+each kept output equals the full-stream one.  The whole stream is still
+checked, and errors name stream indices: a window that overruns the stream
+first, then a bad sample, then an out-of-range level, at the fault's start.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FilterConfig, GammaWindowFilter, MODE_NORMALIZED
+from .core import (
+    FilterConfig,
+    GammaWindowFilter,
+    MODE_NORMALIZED,
+    check_sample,
+    check_samples,
+    raise_sample_error,
+)
 
 FAULT_KINDS: tuple[str, ...] = ("spike", "stuck", "dropout")
 
@@ -68,10 +87,7 @@ class AttenuationReport:
 
 def inject(samples: Sequence[int], spec: FaultSpec) -> list[int]:
     """Pure transformation: returns a copy with the fault window replaced."""
-    if spec.end > len(samples):
-        raise ValueError(
-            f"fault window [{spec.start}, {spec.end}) exceeds stream length {len(samples)}"
-        )
+    _check_window(spec, len(samples))
     out = list(samples)
     for i in range(spec.start, spec.end):
         out[i] = spec.replacement_value
@@ -97,24 +113,55 @@ def attenuation_report(
 ) -> AttenuationReport:
     """Run clean and faulty streams through identical fresh filters.
 
-    recovery_index is the first index at or after the fault end from which
-    the two output streams agree for good; a window purge guarantees it is
-    at most ``spec.end + taps - 1``.
+    Only the span the fault can reach is filtered, and the report equals
+    the one over the whole stream (see the module note); the whole stream
+    is checked.  recovery_index is the first index at or after the fault
+    end from which the two output streams agree for good; a window purge
+    guarantees it is at most ``spec.end + taps - 1``.
     """
-    clean = list(clean_stream)
-    faulty = inject(clean, spec)
-    out_clean = GammaWindowFilter(config).run(clean)
-    out_faulty = GammaWindowFilter(config).run(faulty)
+    return _span_report(_checked_stream(clean_stream, spec, config), spec, config)
+
+
+def _check_window(spec: FaultSpec, length: int) -> None:
+    if spec.end > length:
+        raise ValueError(
+            f"fault window [{spec.start}, {spec.end}) exceeds stream length {length}"
+        )
+
+
+def _checked_stream(stream: Sequence[int], spec: FaultSpec, config: FilterConfig):
+    """``stream`` as a list of checked samples, once ``spec`` fits in it."""
+    clean = list(stream)
+    _check_window(spec, len(clean))
+    checked, error = check_samples(clean, config.sample_format.max_raw)
+    if error is not None:
+        raise_sample_error(error, len(checked))
+    return checked
+
+
+def _span_report(clean: list[int], spec: FaultSpec, config: FilterConfig) -> AttenuationReport:
+    """The report over checked samples, filtering only ``clean[lo:hi]``."""
+    _check_window(spec, len(clean))
+    try:
+        level = check_sample(spec.replacement_value, config.sample_format.max_raw)
+    except ValueError as exc:
+        raise_sample_error(exc, spec.start)
+    lo = max(0, spec.start - config.taps + 1)
+    hi = min(len(clean), spec.end + config.taps - 1)
+    span = clean[lo:hi]
+    faulty = span.copy()
+    faulty[spec.start - lo : spec.end - lo] = [level] * spec.duration
+    skip = spec.start - lo
+    out_clean = GammaWindowFilter(config).run(span)[skip:]
+    out_faulty = GammaWindowFilter(config).run(faulty)[skip:]
 
     deviations = [abs(a - b) for a, b in zip(out_faulty, out_clean)]
-    max_deviation = max(deviations, default=0)
-    delta_max = max(
-        (abs(faulty[i] - clean[i]) for i in range(spec.start, spec.end)), default=0
-    )
+    max_deviation = max(deviations)
+    delta_max = max(abs(level - x) for x in clean[spec.start : spec.end])
     bound = analytic_deviation_bound(config, spec, delta_max)
 
     last_diff = -1
-    for i, d in enumerate(deviations):
+    for i, d in enumerate(deviations, spec.start):
         if d != 0:
             last_diff = i
     recovery_index = max(spec.end, last_diff + 1)
@@ -135,17 +182,23 @@ def sweep(
     """Per-spec attenuation reports plus aggregate deviation statistics.
 
     ``streams`` is either a single stream shared by every spec or one
-    stream per spec.
+    stream per spec.  Each distinct stream is checked once, however many
+    specs share it.
     """
     if len(streams) not in (1, len(specs)) and specs:
         raise ValueError(
             f"need 1 stream or {len(specs)} streams, got {len(streams)}"
         )
+    # id of each stream seen -> (the stream, kept so that its id stays
+    # unique, and its checked samples)
+    checked = {}
     reports = []
     for i, spec in enumerate(specs):
         stream = streams[0] if len(streams) == 1 else streams[i]
-        report = attenuation_report(stream, spec, config)
-        reports.append({"spec": asdict(spec), **asdict(report)})
+        if id(stream) not in checked:
+            checked[id(stream)] = stream, _checked_stream(stream, spec, config)
+        report = _span_report(checked[id(stream)][1], spec, config)
+        reports.append({"spec": dict(vars(spec)), **vars(report)})
 
     deviations = [r["max_output_deviation"] for r in reports]
     slacks = [r["analytic_bound"] - r["max_output_deviation"] for r in reports]
