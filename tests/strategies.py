@@ -5,15 +5,17 @@ from hypothesis import strategies as st
 
 from gdswu.core import MODES, make_config
 from gdswu.fixed_point import ROUNDING_MODES
+from gdswu.gamma_weights import MAX_SHAPE
 from gdswu.oracle import oracle_exact
 
 
 @st.composite
 def configs(draw, sample_bits=(7, 12)):
-    """Any window of 1..64 taps, in both modes and both roundings."""
+    """Any legal shape and any window of 1..64 taps, in both modes and both
+    roundings."""
     try:
         return make_config(
-            a=draw(st.integers(1, 6)),
+            a=draw(st.integers(1, MAX_SHAPE)),
             b=draw(st.floats(0.5, 20.0)),
             taps=draw(st.integers(1, 64)),
             frac_bits=draw(st.integers(4, 14)),

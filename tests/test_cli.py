@@ -299,3 +299,95 @@ def test_step_reports_the_quoted_figure_unmatched(capsys, tmp_path, mode, steady
     assert summary["steady_value"] == steady
     assert (summary["hw_reported"], summary["observed"], summary["match"]) == (
         "0x3a", f"0x{steady:02x}", False)
+
+
+WEIGHTS_TAPS_4 = """\
+{
+  "a": 1,
+  "b": 10.0,
+  "taps": 4,
+  "frac_bits": 7,
+  "rounding": "half-up",
+  "raw": [
+    13,
+    12,
+    10,
+    9
+  ],
+  "ideal": [
+    0.1,
+    0.09048374180359595,
+    0.08187307530779818,
+    0.0740818220681718
+  ],
+  "raw_sum": 44
+}
+"""
+
+
+def test_weights_golden_json(capsys):
+    code, out, err = run_cli(capsys, ["weights", "--taps", "4"])
+    assert (code, err) == (0, "")
+    assert out == WEIGHTS_TAPS_4
+
+
+RUN_TAPS_4_RAW = """\
+index,input,output
+0,5,0
+1,120,12
+2,7,12
+3,0,10
+4,127,21
+5,33,15
+6,64,19
+7,9,18
+"""
+
+
+def test_run_golden_csv(capsys, csv_file):
+    argv = ["run", csv_file(STREAM_8), "--taps", "4", "--mode", "raw-accumulate"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == RUN_TAPS_4_RAW
+
+
+STEP_TAPS_4 = """\
+index,input,output
+0,100,29
+1,100,56
+2,100,79
+3,100,100
+4,100,100
+5,100,100
+{
+  "mode": "normalized-average",
+  "seed": 100,
+  "steady_value": 100,
+  "settle_index": 4,
+  "hw_reported": "0x3a",
+  "observed": "0x64",
+  "match": false
+}
+"""
+
+
+def test_step_golden_csv_and_summary(capsys):
+    code, out, err = run_cli(capsys, ["step", "--taps", "4", "--length", "6", "--seed", "0x64"])
+    assert (code, err) == (0, "")
+    assert out == STEP_TAPS_4
+
+
+def test_usage_error_exits_2_without_a_traceback():
+    done = subprocess.run(
+        [sys.executable, "-m", "gdswu", "run"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: gdswu run ")
+    assert done.stderr.endswith(
+        "gdswu run: error: the following arguments are required: input\n"
+    )
+    assert "Traceback" not in done.stderr
