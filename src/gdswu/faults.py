@@ -129,7 +129,7 @@ def _check_window(spec: FaultSpec, length: int) -> None:
         )
 
 
-def _checked_stream(stream: Sequence[int], spec: FaultSpec, config: FilterConfig):
+def _checked_stream(stream: Sequence[int], spec: FaultSpec, config: FilterConfig) -> list[int]:
     """``stream`` as a list of checked samples, once ``spec`` fits in it."""
     clean = list(stream)
     _check_window(spec, len(clean))
@@ -189,8 +189,8 @@ def sweep(
         raise ValueError(
             f"need 1 stream or {len(specs)} streams, got {len(streams)}"
         )
-    # id of each stream seen -> (the stream, kept so that its id stays
-    # unique, and its checked samples)
+    # id of each stream seen -> the stream (held, so that no other object
+    # takes its id) and its checked samples
     checked = {}
     reports = []
     for i, spec in enumerate(specs):
