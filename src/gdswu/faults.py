@@ -148,10 +148,10 @@ def _span_report(clean: list[int], spec: FaultSpec, config: FilterConfig) -> Att
         raise_sample_error(exc, spec.start)
     lo = max(0, spec.start - config.taps + 1)
     hi = min(len(clean), spec.end + config.taps - 1)
+    skip = spec.start - lo
     span = clean[lo:hi]
     faulty = span.copy()
-    faulty[spec.start - lo : spec.end - lo] = [level] * spec.duration
-    skip = spec.start - lo
+    faulty[skip : skip + spec.duration] = [level] * spec.duration
     out_clean = GammaWindowFilter(config).run(span)[skip:]
     out_faulty = GammaWindowFilter(config).run(faulty)[skip:]
 
