@@ -151,6 +151,45 @@ def test_non_utf8_input_is_a_data_error_naming_the_path(capsys, tmp_path):
     )
 
 
+TWO_ROWS_TAPS_2 = "index,input,output\n0,5,2\n1,7,6\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, code, out, err",
+    [
+        ("1\n\n3\n", [], 1, "", "error: {path} row 2: empty row\n"),
+        ("abc\n", [], 1, "", "error: {path} row 1: not an integer: 'abc'\n"),
+        ('"5"\n7\n', [], 0, TWO_ROWS_TAPS_2, ""),
+        ("5,x\n7\n", [], 0, TWO_ROWS_TAPS_2, ""),
+        ("5\r\n7\r\n", [], 0, TWO_ROWS_TAPS_2, ""),
+        ("5\r7\r", [], 0, TWO_ROWS_TAPS_2, ""),
+        ("first,second\n5\n7\n", ["--has-header"], 0, TWO_ROWS_TAPS_2, ""),
+        ("5\n7", [], 0, TWO_ROWS_TAPS_2, ""),
+        ("", [], 0, "index,input,output\n", ""),
+    ],
+    ids=[
+        "empty-middle-row", "not-an-integer", "quoted", "second-column", "crlf",
+        "lone-cr", "header-with-comma", "no-final-newline", "empty-file",
+    ],
+)
+def test_input_grammar_golden(capsys, tmp_path, text, flags, code, out, err):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = run_cli(capsys, ["run", str(path), "--taps", "2", *flags])
+    assert got == (code, out, err.format(path=path))
+
+
+def test_input_from_stdin_golden():
+    done = subprocess.run(
+        [sys.executable, "-m", "gdswu", "run", "-", "--taps", "2"],
+        input=b"5\n7\n",
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, TWO_ROWS_TAPS_2.encode(), b"")
+
+
 def test_config_file_accepts_every_default_key(capsys, tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
