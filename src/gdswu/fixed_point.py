@@ -22,7 +22,7 @@ The bound is computed per configuration, so it holds for every QFormat,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -37,6 +37,9 @@ class QFormat:
 
     int_bits: int
     frac_bits: int
+    # derived once here: the filter reads max_raw on every normalize call
+    total_bits: int = field(init=False, compare=False, repr=False)
+    max_raw: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.int_bits < 0 or self.frac_bits < 0:
@@ -44,14 +47,8 @@ class QFormat:
         total = self.int_bits + self.frac_bits
         if not 1 <= total <= 64:
             raise ValueError(f"total width must be 1..64 bits, got {total}")
-
-    @property
-    def total_bits(self) -> int:
-        return self.int_bits + self.frac_bits
-
-    @property
-    def max_raw(self) -> int:
-        return (1 << self.total_bits) - 1
+        object.__setattr__(self, "total_bits", total)
+        object.__setattr__(self, "max_raw", (1 << total) - 1)
 
 
 def round_scaled(v, frac_bits: int, rounding: RoundingMode = "half-up") -> int:

@@ -24,6 +24,14 @@ class TestQFormat:
         assert SAMPLE7.max_raw == 127
         assert Q1_7.max_raw == 255
 
+    def test_derived_widths_leave_equality_hash_and_repr_alone(self):
+        q = QFormat(3, 5)
+        assert (q.total_bits, q.max_raw) == (8, 255)
+        assert QFormat(64, 0).max_raw == 2**64 - 1
+        assert q == QFormat(3, 5) and hash(q) == hash(QFormat(3, 5))
+        assert q != QFormat(5, 3)
+        assert repr(q) == "QFormat(int_bits=3, frac_bits=5)"
+
     def test_width_limits(self):
         with pytest.raises(ValueError):
             QFormat(0, 0)
