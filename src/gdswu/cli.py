@@ -12,20 +12,27 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
-import itertools
+import io
 import json
 import os
 import sys
 from contextlib import contextmanager
 
-from .core import MODES, FilterConfig, GammaWindowFilter, make_config, step_response
+from .core import (
+    MODES,
+    FilterConfig,
+    GammaWindowFilter,
+    check_samples,
+    make_config,
+    step_response,
+)
 from .faults import FaultSpec, attenuation_report
 from .fixed_point import ROUNDING_MODES
 from .systolic import (
     ARCHITECTURES,
     CYCLE_CSV_HEADER,
     build_pipeline,
-    cycle_csv_row,
+    cycle_csv_lines,
     run_pipeline,
 )
 
@@ -33,6 +40,9 @@ from .systolic import (
 # reports compare against them without forcing a match.
 HW_REPORTED_STEP_STEADY = 0x3A
 HW_CLAIMED_OPS_PER_CYCLE = 22
+
+# Rows formatted per write: the CSV writers never hold a full-size row list.
+BLOCK_ROWS = 8192
 
 # Config keys and their value types, from the parameters of make_config.
 _CONFIG_TYPES = {
@@ -95,31 +105,81 @@ def _resolve_config(ns: argparse.Namespace) -> FilterConfig:
 
 
 def _read_samples(path: str, has_header: bool, max_raw: int) -> list[int]:
-    """One decimal integer sample in 0..max_raw per CSV row (first column)."""
-    if path == "-":
-        rows = list(csv.reader(sys.stdin))
-    else:
-        try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
+    """One decimal integer sample in 0..max_raw per CSV row.
+
+    The input grammar is that of ``csv.reader`` with the default dialect.
+    The input (a file, or stdin for ``-``) is decoded as strict UTF-8.  Rows
+    end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; a final row needs no row end.
+    A sample is the first column of its row, optionally in double quotes,
+    with surrounding whitespace ignored; further columns are ignored.  A
+    field longer than ``csv.field_size_limit()`` (131,072 characters unless
+    changed) is an error.  With ``has_header`` the first row is skipped
+    unread.
+    """
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    samples = _parse_fast(text, has_header, max_raw)
+    return _parse_rows(text, path, has_header, max_raw) if samples is None else samples
+
+
+def _parse_fast(text: str, has_header: bool, max_raw: int) -> list[int] | None:
+    """The samples of plain one-column ``text``; None for any other text.
+
+    With no ``,``, ``"`` or ``\\r`` in the text every row is one unquoted
+    field ending at ``\\n``, so splitting at ``\\n`` finds the rows
+    ``csv.reader`` would (``str.splitlines`` would also split at ``\\v``,
+    ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``).
+    A row ``_parse_rows`` would reject also gives None, so that it can name
+    the row.
+    """
+    if "," in text or '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    try:
+        values = list(map(int, lines[1:] if has_header else lines))
+    except ValueError:
+        return None
+    checked, error = check_samples(values, max_raw)
+    return checked if error is None else None
+
+
+def _parse_rows(text: str, path: str, has_header: bool, max_raw: int) -> list[int]:
+    """``_read_samples`` row by row through ``csv.reader``; errors name the row."""
+    rows = csv.reader(io.StringIO(text, newline=""))
     samples = []
-    for row_number, row in enumerate(rows, start=1):
-        if has_header and row_number == 1:
-            continue
-        if not row or not row[0].strip():
-            raise DataError(f"{path} row {row_number}: empty row")
-        text = row[0].strip()
-        try:
-            value = int(text)
-        except ValueError:
-            raise DataError(f"{path} row {row_number}: not an integer: {text!r}") from None
-        if not 0 <= value <= max_raw:
-            raise DataError(
-                f"{path} row {row_number}: sample {value} out of range 0..{max_raw}"
-            )
-        samples.append(value)
+    row_number = 0
+    try:
+        for row_number, row in enumerate(rows, start=1):
+            if has_header and row_number == 1:
+                continue
+            if not row or not row[0].strip():
+                raise DataError(f"{path} row {row_number}: empty row")
+            field = row[0].strip()
+            try:
+                value = int(field)
+            except ValueError:
+                raise DataError(
+                    f"{path} row {row_number}: not an integer: {field!r}"
+                ) from None
+            if not 0 <= value <= max_raw:
+                raise DataError(
+                    f"{path} row {row_number}: sample {value} out of range 0..{max_raw}"
+                )
+            samples.append(value)
+    except csv.Error as exc:
+        raise DataError(f"{path} row {row_number + 1}: {exc}") from None
     return samples
 
 
@@ -149,9 +209,11 @@ def _print_json(obj: dict, path: str) -> None:
 
 
 def _write_run_csv(fh, samples, outputs) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(("index", "input", "output"))
-    writer.writerows(zip(itertools.count(), samples, outputs))
+    fh.write("index,input,output\n")
+    for lo in range(0, len(outputs), BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
+        rows = zip(range(lo, hi), samples[lo:hi], outputs[lo:hi])
+        fh.write("".join([f"{i},{x},{y}\n" for i, x, y in rows]))
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
@@ -218,9 +280,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     model = build_pipeline(config, ns.architecture)
     _, reports = run_pipeline(model, samples)
     with _open_out(ns.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CYCLE_CSV_HEADER)
-        writer.writerows(map(cycle_csv_row, reports))
+        fh.write(",".join(CYCLE_CSV_HEADER) + "\n")
+        for lo in range(0, len(reports), BLOCK_ROWS):
+            fh.write(cycle_csv_lines(reports[lo:lo + BLOCK_ROWS]))
     # Ops are those of the first cycle with every stage busy; a stream
     # shorter than the pipeline never fills it, so it has none to report.
     full = next((r for r in reports if all(r.stage_occupancy)), None)

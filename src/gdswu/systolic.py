@@ -119,16 +119,21 @@ class CycleReport:
 CYCLE_CSV_HEADER = ("cycle", "input", "output", "mult_ops", "add_ops", "other_ops")
 
 
-def cycle_csv_row(report: CycleReport) -> tuple:
-    """Flatten a CycleReport into the cycle-CSV column order."""
-    return (
-        report.cycle,
-        "" if report.consumed_input is None else report.consumed_input,
-        "" if report.emitted_output is None else report.emitted_output,
-        report.ops["multiply"],
-        report.ops["add"],
-        report.ops["normalize"],
-    )
+def cycle_csv_lines(reports: list[CycleReport]) -> str:
+    """The cycle-CSV rows of ``reports``, each ending in ``\\n``.
+
+    Idle inputs and outputs are empty fields.  The ops columns are formatted
+    once per distinct ``ops`` dict, which the reports of a block share.
+    """
+    ops_text = {
+        key: f",{ops['multiply']},{ops['add']},{ops['normalize']}\n"
+        for key, ops in {id(r.ops): r.ops for r in reports}.items()
+    }
+    return "".join([
+        f"{r.cycle},{'' if r.consumed_input is None else r.consumed_input},"
+        f"{'' if r.emitted_output is None else r.emitted_output}{ops_text[id(r.ops)]}"
+        for r in reports
+    ])
 
 
 class SystolicPipeline:

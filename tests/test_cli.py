@@ -12,8 +12,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdswu.cli import main
+from gdswu import cli
+from gdswu.cli import DataError, main
 from gdswu.core import make_config
 from gdswu.oracle import oracle_exact
 
@@ -188,6 +191,53 @@ def test_input_from_stdin_golden():
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, TWO_ROWS_TAPS_2.encode(), b"")
+
+
+PLAIN = "0123456789 _+-\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # half the texts avoid the characters that rule out the fast path
+    text=st.one_of(st.text(st.sampled_from(PLAIN)), st.text(st.sampled_from(PLAIN + ',"\r'))),
+    has_header=st.booleans(),
+    max_raw=st.sampled_from((1, 127, 2**64 - 1)),
+)
+def test_the_fast_path_parses_as_the_csv_rows_do(text, has_header, max_raw):
+    args = (text, "in.csv", has_header, max_raw)
+    fast = cli._parse_fast(text, has_header, max_raw)
+    assert fast is None or fast == _outcome(cli._parse_rows, *args)
+
+
+@pytest.mark.parametrize("line", ["1" * 200000, " " * 200000 + "5"], ids=["digits", "padded"])
+def test_a_field_over_the_csv_limit_is_a_data_error(capsys, tmp_path, line):
+    path = tmp_path / "big.csv"
+    path.write_text(f"5\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["run", str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} row 2: field larger than field limit (131072)\n"
+
+
+def test_non_utf8_stdin_is_the_same_error_as_a_non_utf8_file():
+    done = subprocess.run(
+        [sys.executable, "-m", "gdswu", "run", "-"],
+        input=b"5\n\xff\n",
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == (
+        b"error: cannot read -: 'utf-8' codec can't decode byte 0xff "
+        b"in position 2: invalid start byte\n"
+    )
 
 
 def test_config_file_accepts_every_default_key(capsys, tmp_path):

@@ -8,12 +8,14 @@ show up only in the benchmark.
 
 import importlib.util
 import os
+from unittest import mock
 
 import pytest
 
 import gdswu
+import gdswu.cli
 import gdswu.core
-from gdswu.systolic import ARCHITECTURES, build_pipeline
+from gdswu.systolic import ARCHITECTURES, CYCLE_CSV_HEADER, build_pipeline, cycle_csv_lines
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
@@ -52,3 +54,37 @@ def test_the_config_and_weight_attributes_the_workloads_read_resolve():
     assert weights.raw_sum == sum(weights.raw)
     assert weights.qformat.frac_bits == 9
     assert weights.sample_offset == 0.5
+
+
+@pytest.mark.parametrize("text", ["5\n9\n", '"5"\n9\n'], ids=["plain", "quoted"])
+def test_the_traced_reader_returns_a_list(tmp_path, text):
+    # tracing.py takes len() of what cli._read_samples returns as its row count
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    assert gdswu.cli._read_samples(str(path), False, 127) == [5, 9]
+    assert type(gdswu.cli._read_samples(str(path), False, 127)) is list
+
+
+def test_simulate_hands_every_report_through_cli_run_pipeline(tmp_path):
+    # The simulate-wide gate and the reports-memory hook replace
+    # gdswu.cli.run_pipeline and read the reports it returns; a simulate
+    # that bypassed the name, or wrote cycles it did not return, would
+    # escape both.
+    path, cycles = tmp_path / "in.csv", tmp_path / "cycles.csv"
+    path.write_text("".join(f"{x}\n" for x in range(0, 128, 9)), encoding="utf-8")
+    seen = []
+    original = gdswu.cli.run_pipeline
+
+    def capture(model, samples):
+        seen.append(original(model, samples))
+        return seen[-1]
+
+    argv = ["simulate", str(path), "--taps", "5", "-o", str(cycles),
+            "--summary", str(tmp_path / "summary.json")]
+    with mock.patch.object(gdswu.cli, "run_pipeline", capture):
+        assert gdswu.cli.main(argv) == 0
+    assert len(seen) == 1
+    reports = seen[0][1]
+    assert len(reports) == 15 + 4  # the samples, then latency - 1 drain ticks
+    header = ",".join(CYCLE_CSV_HEADER) + "\n"
+    assert cycles.read_text(encoding="utf-8") == header + cycle_csv_lines(reports)
