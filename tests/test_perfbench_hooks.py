@@ -61,8 +61,8 @@ def test_the_traced_reader_returns_a_list(tmp_path, text):
     # tracing.py takes len() of what cli._read_samples returns as its row count
     path = tmp_path / "in.csv"
     path.write_text(text, encoding="utf-8")
-    assert gdswu.cli._read_samples(str(path), False, 127) == [5, 9]
-    assert type(gdswu.cli._read_samples(str(path), False, 127)) is list
+    samples = gdswu.cli._read_samples(str(path), False, 127)
+    assert type(samples) is list and samples == [5, 9]
 
 
 def test_simulate_hands_every_report_through_cli_run_pipeline(tmp_path):
