@@ -33,7 +33,6 @@ from .gamma_weights import (
     GammaParams,
     WeightVector,
     build_weight_vector,
-    gamma_int,
     gamma_pdf,
 )
 from .oracle import (

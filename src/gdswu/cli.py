@@ -26,7 +26,7 @@ from .core import (
     make_config,
     step_response,
 )
-from .faults import FaultSpec, attenuation_report
+from .faults import FAULT_KINDS, FaultSpec, attenuation_report
 from .fixed_point import ROUNDING_MODES
 from .systolic import (
     ARCHITECTURES,
@@ -66,30 +66,32 @@ def load_config_file(path: str) -> dict:
     The keys and their value types are those of ``_CONFIG_TYPES``.
     """
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    with fh:
-        for line_number, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(
-                    f"{path} line {line_number}: expected key = value, got {stripped!r}"
-                )
-            key, _, raw_value = stripped.partition("=")
-            key = key.strip()
-            raw_value = raw_value.strip()
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"{path} line {line_number}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_TYPES[key](raw_value)
-            except ValueError:
-                raise ValueError(
-                    f"{path} line {line_number}: invalid value {raw_value!r} for key {key!r}"
-                ) from None
+    for line_number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(
+                f"{path} line {line_number}: expected key = value, got {stripped!r}"
+            )
+        key, _, raw_value = stripped.partition("=")
+        key = key.strip()
+        raw_value = raw_value.strip()
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"{path} line {line_number}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_TYPES[key](raw_value)
+        except ValueError:
+            raise ValueError(
+                f"{path} line {line_number}: invalid value {raw_value!r} for key {key!r}"
+            ) from None
     return values
 
 
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("input", help="clean input CSV path, or - for stdin")
     p.add_argument("--has-header", action="store_true", help="skip the first input row")
-    p.add_argument("--kind", choices=("spike", "stuck", "dropout"), default="spike")
+    p.add_argument("--kind", choices=FAULT_KINDS, default="spike")
     p.add_argument("--at", type=int, required=True, help="first faulted sample index")
     p.add_argument("--duration", type=int, default=1, help="faulted sample count (default 1)")
     p.add_argument("--magnitude", type=parse_int_literal, default=0, help="fault level (hex ok)")

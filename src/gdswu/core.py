@@ -1,7 +1,7 @@
 """The gamma-weighted sliding-window filter.
 
-The filter holds the last ``taps`` samples; each output is the exact
-weighted sum A = sum(raw_weight[i] * sample_at_lag_i), normalized per mode:
+Each output is the exact weighted sum over the last ``taps`` samples,
+A = sum(raw_weight[i] * sample_at_lag_i), normalized per mode:
 
 - normalized-average mode: floor(A / raw_sum) — an exact convex combination,
   so a constant input c yields exactly c once the window is full.
@@ -9,20 +9,20 @@ weighted sum A = sum(raw_weight[i] * sample_at_lag_i), normalized per mode:
   format.  This is the unscaled accumulate reading of the datapath; a full
   0x7F step settles at floor(127 * raw_sum / 128) here, not at the seed.
 
-``push`` evaluates A for one sample with ``mac_exact`` over the window,
-kept oldest first against the weights reversed.
-``run`` evaluates a whole block with one integer product (Kronecker
-substitution): the carried last ``taps - 1`` samples plus the block, and the
-raw weights, are each packed into one Python int with a field of F bytes
-per value, so field k of their product is the convolution term
-sum(w[i] * s[k - i]).  Every term is non-negative and at most
-``max_raw * raw_sum``; F is chosen so that this bound is below 2**(8F), so
-no field ever carries into the next and each field is A exactly (see the
-``fixed_point`` module note).
+The filter's state is the last ``taps - 1`` samples, oldest first, carried
+from one block to the next.  ``run`` evaluates a whole block with one
+integer product (Kronecker substitution), and ``push`` is a block of one:
+the carried samples plus the block, and the raw weights, are each packed
+into one Python int with a field of F bytes per value, so field k of their
+product is the convolution term sum(w[i] * s[k - i]).  Every term is
+non-negative and at most ``max_raw * raw_sum``; F is chosen so that this
+bound is below 2**(8F), so no field ever carries into the next and each
+field is A exactly (see the ``fixed_point`` module note).
 
-Warm-up uses zero padding: the window starts all-zero like a hardware shift
-register after reset, and there is no partial-sum renormalization.  Division
-is integer floor division; the remainder is discarded.
+Warm-up uses zero padding: the carried samples start at zero like a
+hardware shift register after reset, and there is no partial-sum
+renormalization.  Division is integer floor division; the remainder is
+discarded.
 
 A filter instance is single-writer: pushes are strictly ordered.  Distinct
 instances are independent and may run on distinct threads freely.
@@ -36,7 +36,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, NoReturn, Sequence
 
-from .fixed_point import QFormat, RoundingMode, mac_exact
+from .fixed_point import QFormat, RoundingMode
+# perfbench/tracing.py wraps gdswu.core.mac_exact
+from .fixed_point import mac_exact  # noqa: F401
 from .gamma_weights import GammaParams, WeightVector, build_weight_vector
 
 MODE_NORMALIZED = "normalized-average"
@@ -146,24 +148,12 @@ class GammaWindowFilter:
         self.config = config
         self._width = _field_bytes(config)
         self._packed_weights = _pack(config.weights.raw, self._width)
-        self._reversed_raw = config.weights.raw[::-1]
         self._max_raw = config.sample_format.max_raw
         self.reset()
 
-    @property
-    def fill_count(self) -> int:
-        """Number of real samples in the window, capped at ``taps``."""
-        return self._fill
-
     def push(self, sample: int) -> int:
         """Insert one sample (raw value) and return the filter output."""
-        sample = check_sample(sample, self._max_raw)
-        window = self._window
-        del window[0]
-        window.append(sample)
-        if self._fill < len(window):
-            self._fill += 1
-        return _normalize(self.config, (mac_exact(window, self._reversed_raw),))[0]
+        return self._run_block([check_sample(sample, self._max_raw)])[0]
 
     def run(self, samples: Iterable[int]) -> list[int]:
         """Filter a block; output length equals input length.
@@ -179,22 +169,21 @@ class GammaWindowFilter:
         return outputs
 
     def reset(self) -> None:
-        """Return to the freshly constructed state (window zeroed)."""
-        self._window = [0] * self.config.taps  # oldest sample first
-        self._fill = 0
+        """Return to the freshly constructed state (carried samples zeroed)."""
+        self._carry = [0] * (self.config.taps - 1)  # oldest sample first
 
     def _run_block(self, values: list[int]) -> list[int]:
         """Outputs for in-range int samples, by one packed product."""
         if not values:
             return []
         taps = self.config.taps
-        stream = self._window[1:] + values
+        stream = self._carry + values
         product = _pack(stream, self._width) * self._packed_weights
         accumulators = _unpack(
             product, self._width, len(stream) + taps - 1, taps - 1, len(values)
         )
-        self._window = stream[-taps:]
-        self._fill = min(taps, self._fill + len(values))
+        # not stream[-(taps - 1):], which is the whole stream at one tap
+        self._carry = stream[len(stream) - taps + 1:]
         return _normalize(self.config, accumulators)
 
 

@@ -39,14 +39,6 @@ class GammaParams:
         object.__setattr__(self, "b", b)
 
 
-def gamma_int(a: int) -> int:
-    """Gamma(a) = (a-1)! for integer a >= 1, exact."""
-    a = operator.index(a)
-    if not 1 <= a <= MAX_SHAPE:
-        raise ValueError(f"shape a must be an integer in 1..{MAX_SHAPE}, got {a}")
-    return math.factorial(a - 1)
-
-
 def gamma_pdf(x: float, params: GammaParams) -> float:
     """Gamma density x**(a-1) * exp(-x/b) / (b**a * (a-1)!) for x >= 0.
 
@@ -59,7 +51,7 @@ def gamma_pdf(x: float, params: GammaParams) -> float:
         raise ValueError(f"gamma density is defined for x >= 0, got {x}")
     a, b = params.a, params.b
     try:
-        density = x ** (a - 1) * math.exp(-x / b) / (b ** a * gamma_int(a))
+        density = x ** (a - 1) * math.exp(-x / b) / (b ** a * math.factorial(a - 1))
     except (OverflowError, ZeroDivisionError):
         density = math.inf
     if not math.isfinite(density):

@@ -160,10 +160,6 @@ class SystolicPipeline:
         # the newest sample in flight is the lowest set bit
         return self.latency - (in_flight & -in_flight).bit_length() if in_flight else 0
 
-    def tick(self, sample: int | None = None) -> tuple[int | None, CycleReport]:
-        emitted, reports = self.clock([sample])
-        return emitted[0], reports[0]
-
     def clock(self, samples) -> tuple[list[int | None], list[CycleReport]]:
         """One tick per item of ``samples``, None being an idle tick.
 

@@ -117,6 +117,17 @@ def test_missing_config_file_is_a_domain_error(capsys, tmp_path):
     assert err == f"error: cannot read config file {path}: No such file or directory\n"
 
 
+def test_non_utf8_config_file_is_a_domain_error_naming_its_path(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"taps = 8\n\xff = 1\n")
+    code, out, err = run_cli(capsys, ["weights", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read config file {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 9: invalid start byte\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [

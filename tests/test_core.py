@@ -61,10 +61,15 @@ def test_out_of_range_sample_rejected():
 
 
 def test_non_integer_sample_rejected():
-    filt = GammaWindowFilter(make_config())
+    cfg = make_config()
+    filt = GammaWindowFilter(cfg)
+    filt.run([9, 127, 40])
     with pytest.raises(TypeError):
         filt.push(2.5)
-    assert filt.fill_count == 0
+    fed = GammaWindowFilter(cfg)
+    fed.run([9, 127, 40])
+    probe = [1, 2, 3, 127]
+    assert filt.run(probe) == fed.run(probe)
 
 
 def test_run_reports_failing_sample_index():
@@ -139,8 +144,8 @@ class TestReset:
         filt.run([44] * 5)
         filt.reset()
         filt.reset()
-        assert filt.fill_count == 0
-        assert filt.push(0) == 0
+        probe = [0, 127, 5, 99]
+        assert filt.run(probe) == GammaWindowFilter(make_config()).run(probe)
 
     def test_reset_on_fresh_filter_is_identity(self):
         cfg = make_config()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdswu.core import MODE_NORMALIZED, make_config
+from gdswu.core import MODE_NORMALIZED, MODE_RAW, make_config
 from gdswu.faults import FAULT_KINDS, FaultSpec, attenuation_report, inject, sweep
 from strategies import configs, oracle, streams
 
@@ -55,6 +55,27 @@ def test_sweep_entries_are_the_reports_of_their_specs(case):
     assert result["aggregate"]["count"] == 2
     assert result["aggregate"]["max_deviation"] == max(deviations)
     assert result["aggregate"]["all_bounds_satisfied"] is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_analytic_bound_is_within_two_of_a_full_scale_stuck_fault(data):
+    # On a zero stream the faulty window sum peaks at the k largest weights
+    # times the level (the gamma weights are unimodal, so they are adjacent),
+    # and the bound adds 1 to the ceiling of what the output floors.
+    config = data.draw(configs())
+    top = config.sample_format.max_raw
+    duration = data.draw(st.integers(1, config.taps + 3))
+    after = data.draw(st.integers(config.taps, 2 * config.taps))
+    spec = FaultSpec("stuck", config.taps, duration, top)
+    report = attenuation_report([0] * (spec.end + after), spec, config)
+    slack = report.analytic_bound - report.max_output_deviation
+    w = config.weights
+    peak = sum(sorted(w.raw, reverse=True)[:min(duration, config.taps)]) * top
+    if config.mode == MODE_RAW and peak >> w.qformat.frac_bits > top:
+        assert slack >= 1  # the output saturates, so the bound is loose
+    else:
+        assert slack in (1, 2)
 
 
 def expected_report(config, stream, spec):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from gdswu.core import MODES, FilterConfig, GammaWindowFilter
 from gdswu.fixed_point import QFormat
 from gdswu.gamma_weights import (
+    MAX_SHAPE,
     GammaParams,
     WeightVector,
     build_weight_vector,
-    gamma_int,
     gamma_pdf,
 )
 from gdswu.oracle import oracle_exact
@@ -31,18 +31,29 @@ def scale_round_oracle(a, b, taps, frac_bits, offset=0.0):
 
 
 class TestGammaInt:
+    """Gamma(a) of an integer shape: the density divides by the exact
+    factorial (a-1)!, and shapes outside 1..MAX_SHAPE are rejected."""
+
     @pytest.mark.parametrize("a,expected", [(1, 1), (2, 1), (5, 24)])
     def test_small_factorials(self, a, expected):
-        assert gamma_int(a) == expected
+        # at x = b = 1 the density is exp(-1) / Gamma(a)
+        got = gamma_pdf(1.0, GammaParams(a, 1.0))
+        assert math.isclose(got * expected, math.exp(-1.0), rel_tol=1e-14)
 
     def test_matches_factorial_over_full_range(self):
-        for a in range(1, 21):
-            assert gamma_int(a) == math.factorial(a - 1)
+        # the closed form in logs, with lgamma in place of the factorial
+        for a in range(1, MAX_SHAPE + 1):
+            for x in (0.5, 3.0, 17.25):
+                for b in (0.75, 4.0):
+                    want = math.exp(
+                        (a - 1) * math.log(x) - x / b - a * math.log(b) - math.lgamma(a)
+                    )
+                    assert math.isclose(gamma_pdf(x, GammaParams(a, b)), want, rel_tol=1e-11)
 
-    @pytest.mark.parametrize("a", [0, -1, 21])
+    @pytest.mark.parametrize("a", [0, -1, MAX_SHAPE + 1])
     def test_out_of_range_shape_rejected(self, a):
-        with pytest.raises(ValueError):
-            gamma_int(a)
+        with pytest.raises(ValueError, match=rf"^shape a must be an integer in 1\.\.{MAX_SHAPE}"):
+            GammaParams(a, 1.0)
 
 
 class TestGammaPdf:

@@ -40,7 +40,7 @@ def test_every_tick_matches_the_reference_models(data):
     reference = build_reference(config, architecture)
     ticks = data.draw(gappy_streams(config)) + [None] * (model.latency + 1)
     for sample in ticks:
-        output, report = model.tick(sample)
+        (output,), (report,) = model.clock([sample])
         want_output, want = reference.tick(sample)
         assert output == want_output
         assert fields(report) == fields(want)
@@ -125,12 +125,12 @@ def test_tick_rejects_a_bad_sample_and_clocks_nothing(architecture):
         run_pipeline(model, [300, 1000, -5, 2])
     for bad, error in ((128, ValueError), (-1, ValueError), (2.5, TypeError), ("3", TypeError)):
         with pytest.raises(error):
-            model.tick(bad)
+            model.clock([bad])
     stream = [3, 127, 0, 64, 5]
     outputs, reports = run_pipeline(model, stream)
     assert reports[0].cycle == 1
     assert outputs == GammaWindowFilter(config).run(stream)
-    output, idle = model.tick(None)
+    (output,), (idle,) = model.clock([None])
     assert (output, idle.consumed_input, idle.cycle) == (None, None, len(reports) + 1)
 
 
@@ -150,7 +150,7 @@ def test_a_bad_sample_mid_stream_consumes_the_prefix(architecture, bad, error, m
         reference.tick(sample)
     cycles = []
     for _ in range(model.latency + 1):
-        output, report = model.tick(None)
+        (output,), (report,) = model.clock([None])
         want_output, want = reference.tick(None)
         assert output == want_output
         assert fields(report) == fields(want)
