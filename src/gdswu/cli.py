@@ -3,8 +3,9 @@
 All data outputs are deterministic: CSV with LF line endings, JSON with a
 stable key order, no timestamps.  Seeds and magnitudes accept 0x-prefixed
 hex; CSV values are always decimal.  Exit codes: 0 success, 1 data error
-(unreadable input, malformed or out-of-range input row), 2 usage or domain
-error (an unreadable config file or unwritable output included).
+(unreadable input, malformed or out-of-range input row, or a reader that
+closed stdout early), 2 usage or domain error (an unreadable config file
+and an output that cannot be opened or written included).
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .core import (
     MODES,
     FilterConfig,
     GammaWindowFilter,
+    check_sample,
     check_samples,
     make_config,
     step_response,
 )
-from .faults import FAULT_KINDS, FaultSpec, attenuation_report
+from .faults import FAULT_KINDS, FaultSpec, sweep
 from .fixed_point import ROUNDING_MODES
 from .systolic import (
     ARCHITECTURES,
@@ -175,11 +177,10 @@ def _parse_rows(text: str, path: str, has_header: bool, max_raw: int) -> list[in
                 raise DataError(
                     f"{path} row {row_number}: not an integer: {field!r}"
                 ) from None
-            if not 0 <= value <= max_raw:
-                raise DataError(
-                    f"{path} row {row_number}: sample {value} out of range 0..{max_raw}"
-                )
-            samples.append(value)
+            try:
+                samples.append(check_sample(value, max_raw))
+            except ValueError as exc:
+                raise DataError(f"{path} row {row_number}: {exc}") from None
     except csv.Error as exc:
         raise DataError(f"{path} row {row_number + 1}: {exc}") from None
     return samples
@@ -187,22 +188,38 @@ def _parse_rows(text: str, path: str, has_header: bool, max_raw: int) -> list[in
 
 def _check_level(flag: str, value: int, config: FilterConfig) -> None:
     """A flag that sets a sample level must fit the sample format (exit 2)."""
-    max_raw = config.sample_format.max_raw
-    if not 0 <= value <= max_raw:
-        raise ValueError(f"{flag} {value} out of range 0..{max_raw}")
+    try:
+        check_sample(value, config.sample_format.max_raw)
+    except ValueError as exc:
+        # check_sample's message, naming the flag in place of "sample"
+        raise ValueError(str(exc).replace("sample", flag, 1)) from None
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull, so that the flush at interpreter exit cannot
+    fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 @contextmanager
 def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-        return
+    """Stdout for ``-``, else the file at ``path``.  A failed open or write
+    is a domain error naming ``path``; a closed stdout pipe is let through."""
     try:
-        fh = open(path, "w", newline="", encoding="utf-8")
+        if path == "-":
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                yield fh
+    except BrokenPipeError:
+        raise
     except OSError as exc:
+        if path == "-":
+            _stdout_to_devnull()
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
-    with fh:
-        yield fh
 
 
 def _print_json(obj: dict, path: str) -> None:
@@ -219,8 +236,7 @@ def _write_run_csv(fh, samples, outputs) -> None:
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
-    config = _resolve_config(ns)
-    print(json.dumps(config.weights.to_json_dict(), indent=2))
+    _print_json(_resolve_config(ns).weights.to_json_dict(), "-")
     return 0
 
 
@@ -271,8 +287,7 @@ def cmd_inject(ns: argparse.Namespace) -> int:
         kind=ns.kind, start=ns.at, duration=ns.duration, magnitude=ns.magnitude
     )
     _check_level("--magnitude", spec.replacement_value, config)
-    report = attenuation_report(samples, spec, config)
-    _print_json({"spec": dict(vars(spec)), **vars(report)}, ns.summary)
+    _print_json(sweep([spec], config, [samples])["reports"][0], ns.summary)
     return 0
 
 
@@ -368,15 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        code = ns.func(ns)
-        sys.stdout.flush()
-        return code
+        return ns.func(ns)
     except BrokenPipeError:
-        # The reader closed stdout early (as `| head` does).  Point stdout at
-        # devnull so that the flush at interpreter exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader closed stdout early (as `| head` does).
+        _stdout_to_devnull()
         return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

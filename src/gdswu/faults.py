@@ -24,15 +24,18 @@ filters run over ``stream[lo:hi]`` with ``lo = max(0, start - taps + 1)`` and
 dropped.  When ``lo == 0`` a fresh filter's zero padding is the stream's own
 start; when ``lo > 0`` every kept output sees only samples in the span.  So
 each kept output equals the full-stream one.  The whole stream is still
-checked, and errors name stream indices: a window that overruns the stream
-first, then a bad sample, then an out-of-range level, at the fault's start.
+checked: ``attenuation_report`` and ``sweep`` run one loop over the specs,
+which reads and checks a stream shared by every spec once, at the first
+spec, and one stream per spec at its own spec.  Errors name stream indices:
+a window that overruns the stream first, then a bad sample, then an
+out-of-range level, at the fault's start.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     FilterConfig,
@@ -119,7 +122,7 @@ def attenuation_report(
     end from which the two output streams agree for good; a window purge
     guarantees it is at most ``spec.end + taps - 1``.
     """
-    return _span_report(_checked_stream(clean_stream, spec, config), spec, config)
+    return next(_reports([spec], config, [clean_stream]))
 
 
 def _check_window(spec: FaultSpec, length: int) -> None:
@@ -129,76 +132,70 @@ def _check_window(spec: FaultSpec, length: int) -> None:
         )
 
 
-def _checked_stream(stream: Sequence[int], spec: FaultSpec, config: FilterConfig) -> list[int]:
-    """``stream`` as a list of checked samples, once ``spec`` fits in it."""
-    clean = list(stream)
-    _check_window(spec, len(clean))
-    checked, error = check_samples(clean, config.sample_format.max_raw)
-    if error is not None:
-        raise_sample_error(error, len(checked))
-    return checked
+def _reports(
+    specs: Sequence[FaultSpec], config: FilterConfig, streams: Sequence[Iterable[int]]
+) -> Iterator[AttenuationReport]:
+    """Each spec's report, filtering only ``clean[lo:hi]`` (see the module note)."""
+    for k, spec in enumerate(specs):
+        fresh = k == 0 or len(streams) > 1
+        if fresh:
+            clean = list(streams[k])
+        _check_window(spec, len(clean))
+        if fresh:
+            clean, error = check_samples(clean, config.sample_format.max_raw)
+            if error is not None:
+                raise_sample_error(error, len(clean))
+        try:
+            level = check_sample(spec.replacement_value, config.sample_format.max_raw)
+        except ValueError as exc:
+            raise_sample_error(exc, spec.start)
+        lo = max(0, spec.start - config.taps + 1)
+        hi = min(len(clean), spec.end + config.taps - 1)
+        skip = spec.start - lo
+        span = clean[lo:hi]
+        faulty = span.copy()
+        faulty[skip : skip + spec.duration] = [level] * spec.duration
+        out_clean = GammaWindowFilter(config).run(span)[skip:]
+        out_faulty = GammaWindowFilter(config).run(faulty)[skip:]
 
+        deviations = [abs(a - b) for a, b in zip(out_faulty, out_clean)]
+        max_deviation = max(deviations)
+        delta_max = max(abs(level - x) for x in clean[spec.start : spec.end])
+        bound = analytic_deviation_bound(config, spec, delta_max)
 
-def _span_report(clean: list[int], spec: FaultSpec, config: FilterConfig) -> AttenuationReport:
-    """The report over checked samples, filtering only ``clean[lo:hi]``."""
-    _check_window(spec, len(clean))
-    try:
-        level = check_sample(spec.replacement_value, config.sample_format.max_raw)
-    except ValueError as exc:
-        raise_sample_error(exc, spec.start)
-    lo = max(0, spec.start - config.taps + 1)
-    hi = min(len(clean), spec.end + config.taps - 1)
-    skip = spec.start - lo
-    span = clean[lo:hi]
-    faulty = span.copy()
-    faulty[skip : skip + spec.duration] = [level] * spec.duration
-    out_clean = GammaWindowFilter(config).run(span)[skip:]
-    out_faulty = GammaWindowFilter(config).run(faulty)[skip:]
+        last_diff = -1
+        for i, d in enumerate(deviations, spec.start):
+            if d != 0:
+                last_diff = i
+        recovery_index = max(spec.end, last_diff + 1)
 
-    deviations = [abs(a - b) for a, b in zip(out_faulty, out_clean)]
-    max_deviation = max(deviations)
-    delta_max = max(abs(level - x) for x in clean[spec.start : spec.end])
-    bound = analytic_deviation_bound(config, spec, delta_max)
-
-    last_diff = -1
-    for i, d in enumerate(deviations, spec.start):
-        if d != 0:
-            last_diff = i
-    recovery_index = max(spec.end, last_diff + 1)
-
-    return AttenuationReport(
-        max_output_deviation=max_deviation,
-        analytic_bound=bound,
-        recovery_index=recovery_index,
-        bound_satisfied=max_deviation <= bound,
-    )
+        yield AttenuationReport(
+            max_output_deviation=max_deviation,
+            analytic_bound=bound,
+            recovery_index=recovery_index,
+            bound_satisfied=max_deviation <= bound,
+        )
 
 
 def sweep(
     specs: Sequence[FaultSpec],
     config: FilterConfig,
-    streams: Sequence[Sequence[int]],
+    streams: Sequence[Iterable[int]],
 ) -> dict:
     """Per-spec attenuation reports plus aggregate deviation statistics.
 
     ``streams`` is either a single stream shared by every spec or one
-    stream per spec.  Each distinct stream is checked once, however many
-    specs share it.
+    stream per spec.  A shared stream is read and checked once, at the
+    first spec; each per-spec stream is read and checked at its own spec.
     """
     if len(streams) not in (1, len(specs)) and specs:
         raise ValueError(
             f"need 1 stream or {len(specs)} streams, got {len(streams)}"
         )
-    # id of each stream seen -> the stream (held, so that no other object
-    # takes its id) and its checked samples
-    checked = {}
-    reports = []
-    for i, spec in enumerate(specs):
-        stream = streams[0] if len(streams) == 1 else streams[i]
-        if id(stream) not in checked:
-            checked[id(stream)] = stream, _checked_stream(stream, spec, config)
-        report = _span_report(checked[id(stream)][1], spec, config)
-        reports.append({"spec": dict(vars(spec)), **vars(report)})
+    reports = [
+        {"spec": dict(vars(spec)), **vars(report)}
+        for spec, report in zip(specs, _reports(specs, config, streams))
+    ]
 
     deviations = [r["max_output_deviation"] for r in reports]
     slacks = [r["analytic_bound"] - r["max_output_deviation"] for r in reports]

@@ -32,6 +32,8 @@ RoundingMode = Literal["half-up", "half-even"]
 
 ROUNDING_MODES: tuple[str, ...] = ("half-up", "half-even")
 
+MAX_BITS = 64  # the widest format, integer and fractional bits together
+
 
 @dataclass(frozen=True)
 class QFormat:
@@ -40,16 +42,14 @@ class QFormat:
     int_bits: int
     frac_bits: int
     # derived once here: the filter reads max_raw on every normalize call
-    total_bits: int = field(init=False, compare=False, repr=False)
     max_raw: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.int_bits < 0 or self.frac_bits < 0:
             raise ValueError("bit counts must be non-negative")
         total = self.int_bits + self.frac_bits
-        if not 1 <= total <= 64:
-            raise ValueError(f"total width must be 1..64 bits, got {total}")
-        object.__setattr__(self, "total_bits", total)
+        if not 1 <= total <= MAX_BITS:
+            raise ValueError(f"total width must be 1..{MAX_BITS} bits, got {total}")
         object.__setattr__(self, "max_raw", (1 << total) - 1)
 
 

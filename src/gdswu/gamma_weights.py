@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .fixed_point import QFormat, RoundingMode, round_scaled
+from .fixed_point import MAX_BITS, QFormat, RoundingMode, round_scaled
 
 # Shapes above this would still be exact in Python but land outside any
 # sensible window parameterization; reject instead of approximating.
@@ -131,10 +131,18 @@ def build_weight_vector(
 
     ideal = tuple(gamma_pdf(i + offset, params) for i in range(taps))
     raw = tuple(round_scaled(v, frac_bits, rounding) for v in ideal)
+    int_bits = max(0, max(raw).bit_length() - frac_bits)
+    try:
+        qformat = QFormat(int_bits, frac_bits)
+    except ValueError:
+        raise ValueError(
+            f"the weights need {int_bits + frac_bits} bits at frac_bits={frac_bits}; "
+            f"a weight format allows at most {MAX_BITS}"
+        ) from None
     return WeightVector(
         raw=raw,
         ideal=ideal,
-        qformat=QFormat(max(0, max(raw).bit_length() - frac_bits), frac_bits),
+        qformat=qformat,
         params=params,
         rounding=rounding,
         sample_offset=offset,

@@ -6,7 +6,7 @@ sample and how many ops the busy stages fired.  The partial sums inside the
 latches are not modelled, since nothing outside the datapath can see them.
 
 Each architecture is a stage plan: the ops a stage fires on a tick when it
-holds a sample.
+holds a sample.  The latency is the plan's stage count.
 
 - "tree" (default): one multiplier stage with ``taps`` parallel multipliers,
   ``max(1, ceil(log2 taps))`` adder levels that add their inputs in pairs
@@ -73,25 +73,14 @@ class PipelineConfig:
         object.__setattr__(self, "taps", taps)
 
     @property
-    def tree_depth(self) -> int:
-        """Adder-tree levels; a 1-tap tree still occupies one pass-through level."""
-        return max(1, (self.taps - 1).bit_length())
-
-    @property
-    def latency(self) -> int:
-        """Stage count, which is also the tick on which the first output appears."""
-        if self.architecture == "tree":
-            return 2 + self.tree_depth
-        return self.taps + 1
-
-    @property
     def stage_ops(self) -> tuple[tuple[int, int, int], ...]:
-        """The (multiply, add, normalize) ops each stage fires while busy."""
+        """Each stage's (multiply, add, normalize) ops while busy; the stage count is the latency."""
         if self.architecture == "chain":
             return ((1, 0, 0), *[(1, 1, 0)] * (self.taps - 1), (0, 0, 1))
         stages = [(self.taps, 0, 0)]
         width = self.taps
-        for _ in range(self.tree_depth):
+        # adder levels; a 1-tap tree still occupies one pass-through level
+        for _ in range(max(1, (self.taps - 1).bit_length())):
             stages.append((0, width // 2, 0))
             width -= width // 2
         return (*stages, (0, 0, 1))
@@ -145,13 +134,10 @@ class SystolicPipeline:
         self._max_raw = config.sample_format.max_raw
         self._filter = GammaWindowFilter(config)
         self._stage_ops = self.plan.stage_ops
+        self.latency = len(self._stage_ops)
         self._in_flight: list[int | None] = [None] * (self.latency - 1)
         self._valid = 0  # bit k set: the sample of k ticks ago is real
         self._cycle = 0
-
-    @property
-    def latency(self) -> int:
-        return self.plan.latency
 
     @property
     def pending(self) -> int:
@@ -168,12 +154,6 @@ class SystolicPipeline:
         ``check_sample`` is raised.
         """
         ticks, error = check_samples(samples, self._max_raw, idle=True)
-        emitted, reports = self._clock(ticks)
-        if error is not None:
-            raise error
-        return emitted, reports
-
-    def _clock(self, ticks: list[int | None]):
         # the ticks are checked already, so they skip run's sample check
         count = len(ticks)
         if None in ticks:
@@ -203,6 +183,8 @@ class SystolicPipeline:
             CycleReport, range(start, start + count), ticks, emitted,
             map(ops.__getitem__, history), map(occupancy.__getitem__, history),
         ))
+        if error is not None:
+            raise error
         return emitted, reports
 
 

@@ -6,6 +6,7 @@ traceback.
 """
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -110,6 +111,21 @@ def test_weights_outside_double_range_is_a_domain_error(capsys, argv, message):
     assert err == f"error: {message} is outside the double range\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-b", "1e-300"], "the weights need 1004 bits at frac_bits=7"),
+        (["--frac-bits", "70"], "the weights need 70 bits at frac_bits=70"),
+    ],
+)
+def test_weights_wider_than_64_bits_is_a_domain_error_naming_the_weights(
+    capsys, argv, message
+):
+    code, out, err = run_cli(capsys, ["weights", *argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}; a weight format allows at most 64\n"
+
+
 def test_missing_config_file_is_a_domain_error(capsys, tmp_path):
     path = str(tmp_path / "absent.cfg")
     code, _, err = run_cli(capsys, ["weights", "--config", path])
@@ -152,6 +168,31 @@ def test_unwritable_output_is_a_domain_error(
     code, _, err = run_cli(capsys, [command, *inputs, *extra, flag, path])
     assert code == 2
     assert err == f"error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["run", "IN", "-o", "/dev/full"], "/dev/full"),
+        (["step", "-o", os.devnull, "--summary", "/dev/full"], "/dev/full"),
+        (["weights"], "-"),
+    ],
+)
+def test_failed_write_is_one_error_line_with_exit_2(csv_file, argv, path):
+    # /dev/full accepts the open and fails every write with ENOSPC
+    argv = [csv_file([1, 2, 3]) if a == "IN" else a for a in argv]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "gdswu", *argv],
+            stdout=full if path == "-" else subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_non_utf8_input_is_a_data_error_naming_the_path(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Fault reports checked against their documented guarantees and the oracle."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdswu import faults
 from gdswu.core import MODE_NORMALIZED, MODE_RAW, make_config
 from gdswu.faults import FAULT_KINDS, FaultSpec, attenuation_report, inject, sweep
 from strategies import configs, oracle, streams
@@ -189,3 +192,29 @@ def test_sweep_raises_the_first_failing_spec_error():
             ValueError, "fault window [9, 11) exceeds stream length 10")
     _raises(lambda: sweep([FaultSpec("spike", 0), overrun], config, [bad_stream, [1] * 10]),
             ValueError, "sample 250: sample 200 out of range 0..127")
+
+
+SWEEP_SPECS = [FaultSpec(FAULT_KINDS[i % 3], 20 * i, 1 + i % 4, 9 * i) for i in range(12)]
+
+
+def _sweep_counting_checks(specs, streams):
+    with mock.patch.object(faults, "check_samples", wraps=faults.check_samples) as check:
+        result = sweep(specs, make_config(taps=8), streams)
+    return check.call_count, result
+
+
+def test_a_sweep_checks_one_shared_stream_once():
+    calls, result = _sweep_counting_checks(SWEEP_SPECS, [_stream_with(0, 0)])
+    assert (calls, result["aggregate"]["count"]) == (1, 12)
+
+
+def test_a_sweep_checks_each_of_two_per_spec_streams():
+    streams = [_stream_with(0, 0), _stream_with(0, 5)]
+    calls, result = _sweep_counting_checks(SWEEP_SPECS[:2], streams)
+    assert (calls, result["aggregate"]["count"]) == (2, 2)
+
+
+def test_a_sweep_reads_a_shared_iterator_once():
+    config = make_config(taps=8)
+    stream = _stream_with(0, 0)
+    assert sweep(SWEEP_SPECS, config, [iter(stream)]) == sweep(SWEEP_SPECS, config, [stream])
