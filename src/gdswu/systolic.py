@@ -129,7 +129,6 @@ class SystolicPipeline:
     """One architecture's stage plan, clocked over the filter's outputs."""
 
     def __init__(self, config: FilterConfig, architecture: str = "tree"):
-        self.config = config
         self.plan = PipelineConfig(config.taps, architecture)
         self._max_raw = config.sample_format.max_raw
         self._filter = GammaWindowFilter(config)

@@ -7,6 +7,7 @@ traceback.
 
 import csv
 import errno
+import io
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from gdswu import cli
 from gdswu.cli import DataError, main
-from gdswu.core import make_config
+from gdswu.core import make_config, step_response
 from gdswu.oracle import oracle_exact
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -195,6 +196,24 @@ def test_failed_write_is_one_error_line_with_exit_2(csv_file, argv, path):
     assert done.stderr == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, code", [(["run", "absent.csv"], 1), (["weights", "--taps", "0"], 2)],
+    ids=["data-error", "domain-error"],
+)
+def test_a_failed_error_line_keeps_the_exit_code(tmp_path, argv, code):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "gdswu", *argv],
+            cwd=tmp_path,
+            stdout=subprocess.DEVNULL,
+            stderr=full,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=60,
+        )
+    assert done.returncode == code
+
+
 def test_non_utf8_input_is_a_data_error_naming_the_path(capsys, tmp_path):
     path = tmp_path / "in.csv"
     path.write_bytes(b"1\n\xff\n3\n")
@@ -275,6 +294,44 @@ def test_a_field_over_the_csv_limit_is_a_data_error(capsys, tmp_path, line):
     code, out, err = run_cli(capsys, ["run", str(path)])
     assert (code, out) == (1, "")
     assert err == f"error: {path} row 2: field larger than field limit (131072)\n"
+
+
+@pytest.fixture
+def field_limit():
+    old = csv.field_size_limit(1000)
+    yield 1000
+    csv.field_size_limit(old)
+
+
+# The fast path tests aligned windows of limit // 2 + 1 = 501 characters.
+# The long line comes first; or it starts at 504, so that a line one over the
+# limit holds the window at 1002 but none of 502 characters; or it starts at
+# 502 and ends the text with no final newline, the last window ending there.
+LONG_LINE_PLACES = {
+    "first": ("{line}\n5\n7\n", 1),
+    "straddling": ("5\n" * 252 + "{line}\n7\n", 253),
+    "last": ("5\n" * 251 + "{line}", 252),
+}
+
+
+@pytest.mark.parametrize("place", LONG_LINE_PLACES)
+def test_a_line_at_the_field_limit_parses_as_the_csv_rows_do(tmp_path, field_limit, place):
+    text = LONG_LINE_PLACES[place][0].format(line="0" * (field_limit - 1) + "9")
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    samples = cli._parse_rows(text, str(path), False, 127)
+    assert 9 in samples
+    assert cli._read_samples(str(path), False, 127) == samples
+
+
+@pytest.mark.parametrize("place", LONG_LINE_PLACES)
+def test_a_line_one_over_the_field_limit_is_a_data_error(capsys, tmp_path, field_limit, place):
+    template, row = LONG_LINE_PLACES[place]
+    path = tmp_path / "in.csv"
+    path.write_text(template.format(line="0" * field_limit + "9"), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["run", str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} row {row}: field larger than field limit ({field_limit})\n"
 
 
 def test_non_utf8_stdin_is_the_same_error_as_a_non_utf8_file():
@@ -470,6 +527,31 @@ def test_weights_golden_json(capsys):
     code, out, err = run_cli(capsys, ["weights", "--taps", "4"])
     assert (code, err) == (0, "")
     assert out == WEIGHTS_TAPS_4
+
+
+def _f_string_rows(samples, outputs):
+    return "index,input,output\n" + "".join(
+        f"{i},{x},{y}\n" for i, (x, y) in enumerate(zip(samples, outputs))
+    )
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1])
+def test_the_run_csv_across_block_edges(rows):
+    samples = [(7 * i) % 128 for i in range(rows)]
+    outputs = [(i * i) % 128 for i in range(rows)]
+    fh = io.StringIO()
+    cli._write_run_csv(fh, samples, outputs)
+    assert fh.getvalue() == _f_string_rows(samples, outputs)
+
+
+def test_a_step_csv_past_one_block(tmp_path):
+    length = cli.BLOCK_ROWS + 1
+    path = tmp_path / "step.csv"
+    argv = ["step", "--seed", "0x3a", "--length", str(length), "-o", str(path),
+            "--summary", os.devnull]
+    assert main(argv) == 0
+    outputs = step_response(make_config(), 0x3A, length)
+    assert path.read_text(encoding="utf-8") == _f_string_rows([0x3A] * length, outputs)
 
 
 RUN_TAPS_4_RAW = """\

@@ -15,6 +15,7 @@ import pytest
 import gdswu
 import gdswu.cli
 import gdswu.core
+import gdswu.faults
 from gdswu.systolic import ARCHITECTURES, CYCLE_CSV_HEADER, build_pipeline, cycle_csv_lines
 
 TRACING = os.path.join(
@@ -88,3 +89,21 @@ def test_simulate_hands_every_report_through_cli_run_pipeline(tmp_path):
     assert len(reports) == 15 + 4  # the samples, then latency - 1 drain ticks
     header = ",".join(CYCLE_CSV_HEADER) + "\n"
     assert cycles.read_text(encoding="utf-8") == header + cycle_csv_lines(reports)
+
+
+def test_run_and_sweep_call_the_public_filter_run(tmp_path):
+    # perfbench/smoke.py proves the run-stream and fault-sweep gates by
+    # corrupting GammaWindowFilter.run, and tracing.py wraps it; a path
+    # around it would escape the corruption and read 0 in the trace.
+    path = tmp_path / "in.csv"
+    path.write_text("5\n9\n", encoding="utf-8")
+    config = gdswu.core.make_config(taps=5)
+    spec = gdswu.FaultSpec(kind="spike", start=1, duration=1, magnitude=100)
+    run = gdswu.core.GammaWindowFilter.run
+    with mock.patch.object(gdswu.core.GammaWindowFilter, "run", autospec=True,
+                           side_effect=run) as hook:
+        argv = ["run", str(path), "--taps", "5", "-o", str(tmp_path / "out.csv")]
+        assert gdswu.cli.main(argv) == 0
+        assert hook.call_count == 1
+        gdswu.faults.sweep([spec], config, [[5, 9, 7, 3]])
+        assert hook.call_count > 1
