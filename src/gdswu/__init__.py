@@ -15,7 +15,6 @@ from .core import (
     step_response,
 )
 from .faults import (
-    AttenuationReport,
     FaultSpec,
     analytic_deviation_bound,
     attenuation_report,

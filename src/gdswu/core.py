@@ -11,20 +11,20 @@ A = sum(raw_weight[i] * sample_at_lag_i), normalized per mode:
 
 The filter's state is the last ``taps - 1`` samples, oldest first, carried
 from one block to the next.  ``run`` evaluates a whole block with one
-integer product (Kronecker substitution), and ``push`` is a block of one:
-the carried samples plus the block, and the raw weights, are each packed
-into one Python int with a field of F bytes per value, so field k of their
-product is the convolution term sum(w[i] * s[k - i]).  Every term is
-non-negative and at most ``max_raw * raw_sum``; F is chosen so that this
-bound is below 2**(8F), so no field ever carries into the next and each
-field is A exactly (see the ``fixed_point`` module note).
+integer product (Kronecker substitution): the carried samples plus the
+block, and the raw weights, are each packed into one Python int with a
+field of F bytes per value, so field k of their product is the convolution
+term sum(w[i] * s[k - i]).  Every term is non-negative and at most
+``max_raw * raw_sum``; F is chosen so that this bound is below 2**(8F), so
+no field ever carries into the next and each field is A exactly (see the
+``fixed_point`` module note).
 
 Warm-up uses zero padding: the carried samples start at zero like a
 hardware shift register after reset, and there is no partial-sum
 renormalization.  Division is integer floor division; the remainder is
 discarded.
 
-A filter instance is single-writer: pushes are strictly ordered.  Distinct
+A filter instance is single-writer: runs are strictly ordered.  Distinct
 instances are independent and may run on distinct threads freely.
 """
 
@@ -34,7 +34,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 from .fixed_point import QFormat, RoundingMode
 # perfbench/tracing.py wraps gdswu.core.mac_exact
@@ -128,18 +128,10 @@ def check_samples(samples: Iterable, max_raw: int, idle: bool = False):
     return checked, None
 
 
-def raise_sample_error(error: Exception, index: int) -> NoReturn:
-    """Raise ``check_sample``'s ``error`` for the sample at ``index`` of a
-    stream: a ValueError is raised again naming the index, a TypeError as is."""
-    if isinstance(error, ValueError):
-        raise ValueError(f"sample {index}: {error}") from error
-    raise error
-
-
 class GammaWindowFilter:
     """Sliding-window filter over the most recent ``taps`` samples.
 
-    Output depends only on the last ``taps`` samples pushed or run; eviction
+    Output depends only on the last ``taps`` samples run; eviction
     is strict FIFO, and lag i of the weight vector always addresses the i-th
     most recent sample.
     """
@@ -151,21 +143,20 @@ class GammaWindowFilter:
         self._max_raw = config.sample_format.max_raw
         self.reset()
 
-    def push(self, sample: int) -> int:
-        """Insert one sample (raw value) and return the filter output."""
-        return self._run_block([check_sample(sample, self._max_raw)])[0]
-
     def run(self, samples: Iterable[int]) -> list[int]:
         """Filter a block; output length equals input length.
 
-        The outputs and the state left behind equal those of pushing each
-        sample in turn.  At a bad sample the valid prefix before it is
-        consumed, then the error is raised; a ValueError names the index.
+        The outputs and the state left behind equal those of running each
+        sample as a block of one in turn.  At a bad sample the valid prefix
+        before it is consumed, then ``check_sample``'s error is raised: a
+        ValueError again naming the sample's index, a TypeError as is.
         """
         checked, error = check_samples(samples, self._max_raw)
         outputs = self._run_block(checked)
+        if isinstance(error, ValueError):
+            raise ValueError(f"sample {len(checked)}: {error}") from error
         if error is not None:
-            raise_sample_error(error, len(checked))
+            raise error
         return outputs
 
     def reset(self) -> None:

@@ -12,22 +12,24 @@ with k = min(duration, taps) and the divisor per output mode (raw_sum for
 normalized-average, 2**frac_bits for raw-accumulate).  The +1 absorbs the
 interaction of the two floor divisions on the clean and faulty paths.  The
 largest weights are taken from the actual vector, not assumed to sit at
-lag 0.  Sweeps are embarrassingly parallel: every report uses fresh filter
-instances.
+lag 0.
 
-A report filters only the span of the stream that a fault can reach.  An
-output depends on the last ``taps`` samples alone (finite support), so the
-clean and faulty outputs can differ only at indices ``start .. end + taps -
-2``, and each of those depends on samples from ``start - taps + 1`` on.  Both
-filters run over ``stream[lo:hi]`` with ``lo = max(0, start - taps + 1)`` and
-``hi = min(n, end + taps - 1)``, and the first ``start - lo`` outputs are
-dropped.  When ``lo == 0`` a fresh filter's zero padding is the stream's own
-start; when ``lo > 0`` every kept output sees only samples in the span.  So
-each kept output equals the full-stream one.  The whole stream is still
-checked: ``attenuation_report`` and ``sweep`` run one loop over the specs,
-which reads and checks a stream shared by every spec once, at the first
-spec, and one stream per spec at its own spec.  Errors name stream indices:
-a window that overruns the stream first, then a bad sample, then an
+Each distinct stream is filtered once, whole, by a fresh filter.  That clean
+run checks the stream's samples and is the clean twin of every spec on it.
+Each spec then filters only the span of its faulty stream that the fault
+can reach.  An output depends on the last ``taps`` samples alone (finite
+support), so the clean and faulty outputs can differ only at indices
+``start .. end + taps - 2``, and each of those depends on samples from
+``start - taps + 1`` on.  The faulty run covers ``stream[lo:hi]`` with
+``lo = max(0, start - taps + 1)`` and ``hi = min(n, end + taps - 1)``, and
+its first ``start - lo`` outputs are dropped.  When ``lo == 0`` a fresh
+filter's zero padding is the stream's own start; when ``lo > 0`` every kept
+output sees only samples in the span.  So each kept output equals the
+full-stream one, and it is compared with ``clean_out[start:hi]``.
+``attenuation_report`` and ``sweep`` run one loop over the specs, which
+reads and filters a stream shared by every spec once, at the first spec,
+and one stream per spec at its own spec.  Errors name stream indices: a
+window that overruns the stream first, then a bad sample, then an
 out-of-range level, at the fault's start.
 """
 
@@ -37,14 +39,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import (
-    FilterConfig,
-    GammaWindowFilter,
-    MODE_NORMALIZED,
-    check_sample,
-    check_samples,
-    raise_sample_error,
-)
+from .core import FilterConfig, GammaWindowFilter, MODE_NORMALIZED, check_sample
 
 FAULT_KINDS: tuple[str, ...] = ("spike", "stuck", "dropout")
 
@@ -78,16 +73,6 @@ class FaultSpec:
         return 0 if self.kind == "dropout" else self.magnitude
 
 
-@dataclass(frozen=True)
-class AttenuationReport:
-    """Measured output deviation of a faulty run against its clean twin."""
-
-    max_output_deviation: int
-    analytic_bound: int
-    recovery_index: int
-    bound_satisfied: bool
-
-
 def inject(samples: Sequence[int], spec: FaultSpec) -> list[int]:
     """Pure transformation: returns a copy with the fault window replaced."""
     _check_window(spec, len(samples))
@@ -113,14 +98,16 @@ def attenuation_report(
     clean_stream: Sequence[int],
     spec: FaultSpec,
     config: FilterConfig,
-) -> AttenuationReport:
-    """Run clean and faulty streams through identical fresh filters.
+) -> dict:
+    """The fault's measured output deviation against the clean stream's.
 
-    Only the span the fault can reach is filtered, and the report equals
-    the one over the whole stream (see the module note); the whole stream
-    is checked.  recovery_index is the first index at or after the fault
-    end from which the two output streams agree for good; a window purge
-    guarantees it is at most ``spec.end + taps - 1``.
+    The report is the ``sweep`` entry of ``spec``: the spec's fields under
+    ``"spec"``, then ``max_output_deviation``, ``analytic_bound``,
+    ``recovery_index`` and ``bound_satisfied``.  Only the span the fault can
+    reach is filtered faulty, and the report equals the one over the whole
+    stream (see the module note).  recovery_index is the first index at or
+    after the fault end from which the two output streams agree for good; a
+    window purge guarantees it is at most ``spec.end + taps - 1``.
     """
     return next(_reports([spec], config, [clean_stream]))
 
@@ -134,47 +121,42 @@ def _check_window(spec: FaultSpec, length: int) -> None:
 
 def _reports(
     specs: Sequence[FaultSpec], config: FilterConfig, streams: Sequence[Iterable[int]]
-) -> Iterator[AttenuationReport]:
-    """Each spec's report, filtering only ``clean[lo:hi]`` (see the module note)."""
+) -> Iterator[dict]:
+    """Each spec's report, against one clean run per stream (see the module note)."""
     for k, spec in enumerate(specs):
         fresh = k == 0 or len(streams) > 1
         if fresh:
             clean = list(streams[k])
         _check_window(spec, len(clean))
         if fresh:
-            clean, error = check_samples(clean, config.sample_format.max_raw)
-            if error is not None:
-                raise_sample_error(error, len(clean))
+            clean_out = GammaWindowFilter(config).run(clean)
         try:
             level = check_sample(spec.replacement_value, config.sample_format.max_raw)
         except ValueError as exc:
-            raise_sample_error(exc, spec.start)
+            raise ValueError(f"sample {spec.start}: {exc}") from exc
         lo = max(0, spec.start - config.taps + 1)
         hi = min(len(clean), spec.end + config.taps - 1)
-        skip = spec.start - lo
-        span = clean[lo:hi]
-        faulty = span.copy()
-        faulty[skip : skip + spec.duration] = [level] * spec.duration
-        out_clean = GammaWindowFilter(config).run(span)[skip:]
-        out_faulty = GammaWindowFilter(config).run(faulty)[skip:]
+        faulty = clean[lo:hi]
+        faulty[spec.start - lo : spec.end - lo] = [level] * spec.duration
+        out_faulty = GammaWindowFilter(config).run(faulty)[spec.start - lo :]
 
-        deviations = [abs(a - b) for a, b in zip(out_faulty, out_clean)]
+        deviations = [abs(a - b) for a, b in zip(out_faulty, clean_out[spec.start : hi])]
         max_deviation = max(deviations)
-        delta_max = max(abs(level - x) for x in clean[spec.start : spec.end])
+        delta_max = max(abs(level - operator.index(x)) for x in clean[spec.start : spec.end])
         bound = analytic_deviation_bound(config, spec, delta_max)
 
         last_diff = -1
         for i, d in enumerate(deviations, spec.start):
             if d != 0:
                 last_diff = i
-        recovery_index = max(spec.end, last_diff + 1)
 
-        yield AttenuationReport(
-            max_output_deviation=max_deviation,
-            analytic_bound=bound,
-            recovery_index=recovery_index,
-            bound_satisfied=max_deviation <= bound,
-        )
+        yield {
+            "spec": dict(vars(spec)),
+            "max_output_deviation": max_deviation,
+            "analytic_bound": bound,
+            "recovery_index": max(spec.end, last_diff + 1),
+            "bound_satisfied": max_deviation <= bound,
+        }
 
 
 def sweep(
@@ -185,17 +167,17 @@ def sweep(
     """Per-spec attenuation reports plus aggregate deviation statistics.
 
     ``streams`` is either a single stream shared by every spec or one
-    stream per spec.  A shared stream is read and checked once, at the
-    first spec; each per-spec stream is read and checked at its own spec.
+    stream per spec.  Each distinct stream is read and filtered clean once,
+    which checks its samples: a shared stream at the first spec, a per-spec
+    stream at its own spec.  Each spec adds one faulty run over the span its
+    fault can reach, so a sweep makes one filter run per spec plus one per
+    stream.
     """
     if len(streams) not in (1, len(specs)) and specs:
         raise ValueError(
             f"need 1 stream or {len(specs)} streams, got {len(streams)}"
         )
-    reports = [
-        {"spec": dict(vars(spec)), **vars(report)}
-        for spec, report in zip(specs, _reports(specs, config, streams))
-    ]
+    reports = list(_reports(specs, config, streams))
 
     deviations = [r["max_output_deviation"] for r in reports]
     slacks = [r["analytic_bound"] - r["max_output_deviation"] for r in reports]

@@ -130,8 +130,12 @@ def build_weight_vector(
         raise ValueError(f"weight format needs frac_bits >= 1, got {frac_bits}")
 
     ideal = tuple(gamma_pdf(i + offset, params) for i in range(taps))
-    raw = tuple(round_scaled(v, frac_bits, rounding) for v in ideal)
-    int_bits = max(0, max(raw).bit_length() - frac_bits)
+    # A format wider than MAX_BITS is refused below, so round no wider than
+    # MAX_BITS + 1 bits rather than build 2**frac_bits; from 54 fractional
+    # bits on a double scales exactly, so int_bits is the same either way.
+    bits = min(frac_bits, MAX_BITS + 1)
+    raw = tuple(round_scaled(v, bits, rounding) for v in ideal)
+    int_bits = max(0, max(raw).bit_length() - bits)
     try:
         qformat = QFormat(int_bits, frac_bits)
     except ValueError:

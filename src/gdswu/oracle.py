@@ -18,7 +18,7 @@ from .gamma_weights import GammaParams, WeightVector, gamma_pdf
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Element-wise comparison outcome; a mismatch is |difference| > bound."""
+    """Element-wise comparison outcome; a mismatch is |difference| not <= bound."""
 
     max_abs_error: float
     mismatch_count: int
@@ -130,7 +130,7 @@ def compare(
     for i, (got, want) in enumerate(zip(fixed_out, oracle_out)):
         err = abs(got - want)
         max_err = max(max_err, err)
-        if err > bound:
+        if not err <= bound:  # a NaN error compares false, so it mismatches
             mismatches += 1
             if first is None:
                 first = i

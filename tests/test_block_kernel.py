@@ -1,9 +1,9 @@
 """Differential tests of the filter's block kernel against ``oracle_exact``.
 
 ``GammaWindowFilter.run`` computes a whole block with one packed integer
-product, and ``push`` is the same kernel over a block of one sample.  Both
-must be bit-equal to the independent oracle for every configuration, every
-chunking of the stream and every interleaving of push, run and reset.  The
+product.  It must be bit-equal to the independent oracle for every
+configuration, every chunking of the stream (blocks of one sample included)
+and every interleaving of runs and resets.  The
 state a call leaves behind is checked by a probe run: the filter must then
 answer any further block as a filter fed the same samples does.
 """
@@ -143,10 +143,10 @@ def test_out_of_range_sample_mid_block_consumes_the_valid_prefix(data):
     assert str(info.value) == (
         f"sample {len(prefix)}: sample {bad} out of range 0..{top}"
     )
-    pushed = GammaWindowFilter(config)
+    one_by_one = GammaWindowFilter(config)
     for sample in prefix:
-        pushed.push(sample)
-    assert block.run(probe) == pushed.run(probe)
+        one_by_one.run([sample])
+    assert block.run(probe) == one_by_one.run(probe)
 
 
 def test_non_integer_sample_mid_block_raises_type_error_after_prefix():
@@ -170,7 +170,7 @@ def test_neither_run_nor_push_calls_mac_exact(monkeypatch):
     monkeypatch.setattr(gdswu.core, "mac_exact", counting)
     filt = GammaWindowFilter(make_config())
     filt.run(list(range(40)))
-    filt.push(3)
+    filt.run([3])
     assert calls == []
 
 
@@ -181,8 +181,9 @@ def test_importing_the_package_does_not_import_numpy():
 
 
 class PushRunReset(RuleBasedStateMachine):
-    """Any interleaving of push, run and reset matches the oracle on the
-    samples fed since the last reset."""
+    """Any interleaving of one-sample runs, block runs, rejected one-sample
+    runs and resets matches the oracle on the samples fed since the last
+    reset."""
 
     @initialize(
         taps=st.integers(1, 40),
@@ -198,10 +199,10 @@ class PushRunReset(RuleBasedStateMachine):
         self.outputs = []
 
     @rule(data=st.data())
-    def push(self, data):
+    def run_one(self, data):
         sample = data.draw(st.integers(0, self.top))
         self.history.append(sample)
-        self.outputs.append(self.filter.push(sample))
+        self.outputs += self.filter.run([sample])
 
     @rule(data=st.data())
     def run(self, data):
@@ -210,12 +211,12 @@ class PushRunReset(RuleBasedStateMachine):
         self.outputs += self.filter.run(block)
 
     @rule(data=st.data())
-    def push_bad(self, data):
+    def run_one_bad(self, data):
         bad, error = data.draw(st.sampled_from((
             (self.top + 1, ValueError), (-1, ValueError), (2.5, TypeError), ("3", TypeError),
         )))
         with pytest.raises(error):
-            self.filter.push(bad)
+            self.filter.run([bad])
 
     @rule()
     def reset(self):

@@ -127,6 +127,26 @@ def test_weights_wider_than_64_bits_is_a_domain_error_naming_the_weights(
     assert err == f"error: {message}; a weight format allows at most 64\n"
 
 
+def test_a_huge_frac_bits_is_refused_before_its_scale_is_built():
+    # 2**(10**11) would take about 12.5 GB; the child's address space is
+    # capped at 1 GB, so building it fails fast rather than filling memory.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from gdswu.cli import main\n"
+        "sys.exit(main(['weights', '--frac-bits', '100000000000']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: the weights need 100000000000 bits at frac_bits=100000000000; "
+        "a weight format allows at most 64\n"
+    )
+
+
 def test_missing_config_file_is_a_domain_error(capsys, tmp_path):
     path = str(tmp_path / "absent.cfg")
     code, _, err = run_cli(capsys, ["weights", "--config", path])

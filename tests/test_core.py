@@ -26,7 +26,7 @@ def test_default_config_matches_sixteen_tap_unit():
 
 
 def test_fresh_filter_outputs_zero_on_zero():
-    assert GammaWindowFilter(make_config()).push(0) == 0
+    assert GammaWindowFilter(make_config()).run([0]) == [0]
 
 
 def test_all_zero_stream_yields_all_zero_outputs():
@@ -55,9 +55,9 @@ def test_step_of_full_scale_raw_accumulate_steady_state():
 def test_out_of_range_sample_rejected():
     filt = GammaWindowFilter(make_config())
     with pytest.raises(ValueError):
-        filt.push(128)
+        filt.run([128])
     with pytest.raises(ValueError):
-        filt.push(-1)
+        filt.run([-1])
 
 
 def test_non_integer_sample_rejected():
@@ -65,7 +65,7 @@ def test_non_integer_sample_rejected():
     filt = GammaWindowFilter(cfg)
     filt.run([9, 127, 40])
     with pytest.raises(TypeError):
-        filt.push(2.5)
+        filt.run([2.5])
     fed = GammaWindowFilter(cfg)
     fed.run([9, 127, 40])
     probe = [1, 2, 3, 127]
@@ -212,7 +212,7 @@ def test_two_filters_share_nothing():
     cfg = make_config()
     f1, f2 = GammaWindowFilter(cfg), GammaWindowFilter(cfg)
     f1.run([127] * 16)
-    assert f2.push(0) == 0
+    assert f2.run([0]) == [0]
 
 
 def test_general_shape_runs_and_matches_direct_formula():

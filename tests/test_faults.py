@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdswu import faults
-from gdswu.core import MODE_NORMALIZED, MODE_RAW, make_config
+from gdswu.core import MODE_NORMALIZED, MODE_RAW, GammaWindowFilter, make_config
 from gdswu.faults import FAULT_KINDS, FaultSpec, attenuation_report, inject, sweep
 from strategies import configs, oracle, streams
 
 
 @st.composite
-def faulted_streams(draw):
-    config = draw(configs())
+def faulted_streams(draw, config=None):
+    config = config or draw(configs())
     stream = draw(streams(config, min_size=1))
     start = draw(st.integers(0, len(stream) - 1))
     spec = FaultSpec(
@@ -31,11 +30,11 @@ def faulted_streams(draw):
 def test_attenuation_report_keeps_its_bound_and_recovers_within_a_window(case):
     config, stream, spec = case
     report = attenuation_report(stream, spec, config)
-    assert report.bound_satisfied
-    assert report.max_output_deviation <= report.analytic_bound
-    assert spec.end <= report.recovery_index <= spec.end + config.taps - 1
+    assert report["bound_satisfied"]
+    assert report["max_output_deviation"] <= report["analytic_bound"]
+    assert spec.end <= report["recovery_index"] <= spec.end + config.taps - 1
     clean, faulty = oracle(config, stream), oracle(config, inject(stream, spec))
-    assert report.max_output_deviation == max(abs(a - b) for a, b in zip(clean, faulty))
+    assert report["max_output_deviation"] == max(abs(a - b) for a, b in zip(clean, faulty))
 
 
 @settings(max_examples=20, deadline=None)
@@ -45,15 +44,8 @@ def test_sweep_entries_are_the_reports_of_their_specs(case):
     other = FaultSpec("dropout", 0)
     result = sweep([spec, other], config, [stream])
     for entry, each in zip(result["reports"], (spec, other)):
-        report = attenuation_report(stream, each, config)
-        assert entry["spec"]["kind"] == each.kind
-        assert entry["spec"]["start"] == each.start
-        assert entry["spec"]["duration"] == each.duration
-        assert entry["spec"]["magnitude"] == each.magnitude
-        assert entry["max_output_deviation"] == report.max_output_deviation
-        assert entry["analytic_bound"] == report.analytic_bound
-        assert entry["recovery_index"] == report.recovery_index
-        assert entry["bound_satisfied"] is report.bound_satisfied
+        assert entry["spec"] == vars(each)
+        assert entry == attenuation_report(stream, each, config)
     deviations = [e["max_output_deviation"] for e in result["reports"]]
     assert result["aggregate"]["count"] == 2
     assert result["aggregate"]["max_deviation"] == max(deviations)
@@ -72,7 +64,7 @@ def test_analytic_bound_is_within_two_of_a_full_scale_stuck_fault(data):
     after = data.draw(st.integers(config.taps, 2 * config.taps))
     spec = FaultSpec("stuck", config.taps, duration, top)
     report = attenuation_report([0] * (spec.end + after), spec, config)
-    slack = report.analytic_bound - report.max_output_deviation
+    slack = report["analytic_bound"] - report["max_output_deviation"]
     w = config.weights
     peak = sum(sorted(w.raw, reverse=True)[:min(duration, config.taps)]) * top
     if config.mode == MODE_RAW and peak >> w.qformat.frac_bits > top:
@@ -128,9 +120,20 @@ def long_faulted_streams(draw):
 def test_attenuation_report_equals_the_full_stream_oracle(case):
     config, stream, spec = case
     report = attenuation_report(stream, spec, config)
-    assert vars(report) == expected_report(config, stream, spec)
-    entry = sweep([spec], config, [stream])["reports"][0]
-    assert {k: entry[k] for k in vars(report)} == vars(report)
+    assert report == {"spec": vars(spec), **expected_report(config, stream, spec)}
+    assert sweep([spec], config, [stream])["reports"][0] == report
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_sweep_over_per_spec_streams_equals_the_full_stream_oracle(data):
+    config = data.draw(configs())
+    cases = data.draw(st.lists(faulted_streams(config), min_size=2, max_size=4))
+    result = sweep([spec for _, _, spec in cases], config, [s for _, s, _ in cases])
+    assert result["reports"] == [
+        {"spec": vars(spec), **expected_report(config, stream, spec)}
+        for _, stream, spec in cases
+    ]
 
 
 def _raises(call, kind, message):
@@ -197,21 +200,36 @@ def test_sweep_raises_the_first_failing_spec_error():
 SWEEP_SPECS = [FaultSpec(FAULT_KINDS[i % 3], 20 * i, 1 + i % 4, 9 * i) for i in range(12)]
 
 
-def _sweep_counting_checks(specs, streams):
-    with mock.patch.object(faults, "check_samples", wraps=faults.check_samples) as check:
+def _sweep_counting_runs(specs, streams):
+    """The sweep, and the length of the block each filter run was given.
+
+    A stream's samples are checked by the run over the whole stream (300
+    samples); each spec's faulty run covers at most 2 * 7 + 4 of them.
+    """
+    lengths = []
+    real = GammaWindowFilter.run
+
+    def counting(self, samples):
+        samples = list(samples)
+        lengths.append(len(samples))
+        return real(self, samples)
+
+    with mock.patch.object(GammaWindowFilter, "run", counting):
         result = sweep(specs, make_config(taps=8), streams)
-    return check.call_count, result
+    return lengths, result
 
 
 def test_a_sweep_checks_one_shared_stream_once():
-    calls, result = _sweep_counting_checks(SWEEP_SPECS, [_stream_with(0, 0)])
-    assert (calls, result["aggregate"]["count"]) == (1, 12)
+    lengths, result = _sweep_counting_runs(SWEEP_SPECS, [_stream_with(0, 0)])
+    assert (lengths.count(300), result["aggregate"]["count"]) == (1, 12)
+    assert len(lengths) == 13  # one run per spec plus one per stream
 
 
 def test_a_sweep_checks_each_of_two_per_spec_streams():
     streams = [_stream_with(0, 0), _stream_with(0, 5)]
-    calls, result = _sweep_counting_checks(SWEEP_SPECS[:2], streams)
-    assert (calls, result["aggregate"]["count"]) == (2, 2)
+    lengths, result = _sweep_counting_runs(SWEEP_SPECS[:2], streams)
+    assert (lengths.count(300), result["aggregate"]["count"]) == (2, 2)
+    assert len(lengths) == 4
 
 
 def test_a_sweep_reads_a_shared_iterator_once():

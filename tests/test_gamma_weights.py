@@ -205,8 +205,8 @@ class TestHandBuiltWeightVector:
         stream = [127, 127, 127, 3, 0, 0, 127, 0, 127, 127]
         expected = oracle_exact(stream, wv.raw, wv.raw_sum, mode, 2, 127)
         assert GammaWindowFilter(cfg).run(stream) == expected
-        pushed = GammaWindowFilter(cfg)
-        assert [pushed.push(s) for s in stream] == expected
+        one_by_one = GammaWindowFilter(cfg)
+        assert [one_by_one.run([s])[0] for s in stream] == expected
 
     @pytest.mark.parametrize("field", ["taps", "raw_sum"])
     def test_derived_fields_cannot_be_passed(self, field):
