@@ -44,7 +44,6 @@ from .oracle import (
 from .systolic import (
     ARCHITECTURES,
     CycleReport,
-    PipelineConfig,
     SystolicPipeline,
     build_pipeline,
     run_pipeline,

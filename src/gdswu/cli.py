@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from itertools import chain
+from itertools import chain, count, islice, repeat
 
 from .core import (
     MODES,
@@ -237,12 +237,11 @@ def _print_json(obj: dict, path: str) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_run_csv(fh, samples, outputs) -> None:
+def _write_run_csv(fh, rows) -> None:
+    """The run CSV of ``rows``, an iterator of (index, input, output)."""
     fh.write("index,input,output\n")
-    for lo in range(0, len(outputs), BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, len(outputs))
-        rows = zip(range(lo, hi), samples[lo:hi], outputs[lo:hi])
-        fh.write("%d,%d,%d\n" * (hi - lo) % tuple(chain.from_iterable(rows)))
+    while fields := tuple(chain.from_iterable(islice(rows, BLOCK_ROWS))):
+        fh.write("%d,%d,%d\n" * (len(fields) // 3) % fields)
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
@@ -255,7 +254,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     outputs = GammaWindowFilter(config).run(samples)
     with _open_out(ns.output) as fh:
-        _write_run_csv(fh, samples, outputs)
+        _write_run_csv(fh, zip(count(), samples, outputs))
     return 0
 
 
@@ -273,10 +272,12 @@ def _settle_index(outputs: list[int]) -> int:
 def cmd_step(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
     _check_level("--seed", ns.seed, config)
-    outputs = step_response(config, ns.seed, ns.length)
-    with _open_out(ns.output) as fh:
-        _write_run_csv(fh, [ns.seed] * ns.length, outputs)
+    # the window is full from the taps-th sample on, so later outputs repeat
+    outputs = step_response(config, ns.seed, min(ns.length, config.taps))
     steady = outputs[-1]
+    rows = zip(range(ns.length), repeat(ns.seed), chain(outputs, repeat(steady)))
+    with _open_out(ns.output) as fh:
+        _write_run_csv(fh, rows)
     summary = {
         "mode": config.mode,
         "seed": ns.seed,

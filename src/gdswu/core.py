@@ -104,11 +104,11 @@ def check_sample(sample, max_raw: int) -> int:
     return sample
 
 
-def check_samples(samples: Iterable, max_raw: int, idle: bool = False):
+def check_samples(samples: Iterable, max_raw: int):
     """The longest valid prefix of ``samples``, checked, and the error that
     ``check_sample`` raised for the sample after it (None when all are valid).
 
-    With ``idle``, None items are idle ticks and pass through unchecked.
+    Every item is a sample: a pipeline maps its idle ticks to 0 first.
     """
     values = list(samples)
     try:
@@ -120,9 +120,7 @@ def check_samples(samples: Iterable, max_raw: int, idle: bool = False):
     checked = []
     for sample in values:
         try:
-            checked.append(
-                None if idle and sample is None else check_sample(sample, max_raw)
-            )
+            checked.append(check_sample(sample, max_raw))
         except (TypeError, ValueError) as exc:
             return checked, exc
     return checked, None
@@ -141,7 +139,7 @@ class GammaWindowFilter:
         self._width = _field_bytes(config)
         self._packed_weights = _pack(config.weights.raw, self._width)
         self._max_raw = config.sample_format.max_raw
-        self.reset()
+        self._carry = [0] * (config.taps - 1)  # oldest sample first
 
     def run(self, samples: Iterable[int]) -> list[int]:
         """Filter a block; output length equals input length.
@@ -158,10 +156,6 @@ class GammaWindowFilter:
         if error is not None:
             raise error
         return outputs
-
-    def reset(self) -> None:
-        """Return to the freshly constructed state (carried samples zeroed)."""
-        self._carry = [0] * (self.config.taps - 1)  # oldest sample first
 
     def _run_block(self, values: list[int]) -> list[int]:
         """Outputs for in-range int samples, by one packed product."""

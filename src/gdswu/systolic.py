@@ -19,12 +19,15 @@ holds a sample.  The latency is the plan's stage count.
 
 Both plans compute the window sum sum(raw[i] * x[t - i]) of the same
 non-negative integers and differ only in the order of the additions.  Python
-integer addition is exact and associative, so no order can change a sum:
-the model takes every output from one pass of the filter's block kernel
-per block of ticks and delays it by ``latency - 1`` ticks in a FIFO, so the
-first output appears on tick ``latency``.  Stage occupancy is a shift
-register of ``latency`` valid bits, and a tick's op counts are the sum of
-the plan over its busy stages.
+integer addition is exact and associative, so no order can change a sum.
+The model's state is the filter's carried samples and a FIFO of the
+outputs of the last ``latency - 1`` ticks, None for an idle tick.  A block
+of ticks takes its outputs from one pass of the filter's block kernel and
+shifts them through the FIFO, so the first output appears on tick
+``latency``.  Stage k of a tick holds the sample of k ticks before, so
+stage k is busy when that tick's output, read off the FIFO and the block's
+outputs, is not None.  A tick's op counts are the sum of the plan over its
+busy stages.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
@@ -45,9 +48,9 @@ every idle tick before it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .core import FilterConfig, GammaWindowFilter, check_samples
 
@@ -55,43 +58,39 @@ ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
 OPS: tuple[str, ...] = ("multiply", "add", "normalize")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Static stage plan for one architecture and window length."""
+class StagePlan(NamedTuple):
+    """An architecture's stages, each the (multiply, add, normalize) ops it
+    fires while busy; the stage count is the latency."""
 
-    taps: int
-    architecture: str = "tree"
+    architecture: str
+    stages: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        taps = operator.index(self.taps)
-        if taps < 1:
-            raise ValueError(f"taps must be >= 1, got {self.taps}")
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(
-                f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
-            )
-        object.__setattr__(self, "taps", taps)
 
-    @property
-    def stage_ops(self) -> tuple[tuple[int, int, int], ...]:
-        """Each stage's (multiply, add, normalize) ops while busy; the stage count is the latency."""
-        if self.architecture == "chain":
-            return ((1, 0, 0), *[(1, 1, 0)] * (self.taps - 1), (0, 0, 1))
-        stages = [(self.taps, 0, 0)]
-        width = self.taps
+def _stage_plan(taps: int, architecture: str) -> StagePlan:
+    if architecture not in ARCHITECTURES:
+        raise ValueError(
+            f"unknown architecture {architecture!r}, expected one of {ARCHITECTURES}"
+        )
+    if architecture == "chain":
+        stages = [(1, 0, 0), *[(1, 1, 0)] * (taps - 1)]
+    else:
+        stages = [(taps, 0, 0)]
+        width = taps
         # adder levels; a 1-tap tree still occupies one pass-through level
-        for _ in range(max(1, (self.taps - 1).bit_length())):
+        for _ in range(max(1, (taps - 1).bit_length())):
             stages.append((0, width // 2, 0))
             width -= width // 2
-        return (*stages, (0, 0, 1))
+    return StagePlan(architecture, (*stages, (0, 0, 1)))
 
 
 @dataclass(slots=True)
 class CycleReport:
     """What one clock tick did: ops fired, stage occupancy, any output.
 
-    The reports of one block of ticks with the same occupancy share one
-    ``ops`` dict and one ``stage_occupancy`` tuple; treat both as read-only.
+    ``stage_occupancy[k]`` is True when the tick k cycles before consumed a
+    sample.  The reports of one block of ticks with the same occupancy share
+    one ``ops`` dict and one ``stage_occupancy`` tuple; treat both as
+    read-only.
     """
 
     cycle: int
@@ -129,21 +128,18 @@ class SystolicPipeline:
     """One architecture's stage plan, clocked over the filter's outputs."""
 
     def __init__(self, config: FilterConfig, architecture: str = "tree"):
-        self.plan = PipelineConfig(config.taps, architecture)
-        self._max_raw = config.sample_format.max_raw
+        self.plan = _stage_plan(config.taps, architecture)
+        self.latency = len(self.plan.stages)
         self._filter = GammaWindowFilter(config)
-        self._stage_ops = self.plan.stage_ops
-        self.latency = len(self._stage_ops)
+        # the outputs of the last latency - 1 ticks, oldest first; None when idle
         self._in_flight: list[int | None] = [None] * (self.latency - 1)
-        self._valid = 0  # bit k set: the sample of k ticks ago is real
         self._cycle = 0
 
     @property
     def pending(self) -> int:
         """Idle ticks until the last sample in flight emits its output."""
-        in_flight = self._valid & ((1 << (self.latency - 1)) - 1)
-        # the newest sample in flight is the lowest set bit
-        return self.latency - (in_flight & -in_flight).bit_length() if in_flight else 0
+        # 1 + the index of the newest output in flight, 0 when there is none
+        return max((k + 1 for k, y in enumerate(self._in_flight) if y is not None), default=0)
 
     def clock(self, samples) -> tuple[list[int | None], list[CycleReport]]:
         """One tick per item of ``samples``, None being an idle tick.
@@ -152,28 +148,32 @@ class SystolicPipeline:
         At a bad sample the ticks before it are clocked, then the error of
         ``check_sample`` is raised.
         """
-        ticks, error = check_samples(samples, self._max_raw, idle=True)
+        values = list(samples)
+        gaps = None in values
+        zeroed = [0 if x is None else x for x in values] if gaps else values
+        ticks, error = check_samples(zeroed, self._filter._max_raw)
         # the ticks are checked already, so they skip run's sample check
-        count = len(ticks)
-        if None in ticks:
-            outputs = self._filter._run_block([0 if x is None else x for x in ticks])
+        outputs = self._filter._run_block(ticks)
+        if gaps:
+            ticks = [None if x is None else y for x, y in zip(values, ticks)]
             outputs = [None if x is None else y for x, y in zip(ticks, outputs)]
-        else:
-            outputs = self._filter._run_block(ticks)
+        count = len(ticks)
         stream = self._in_flight + outputs
         emitted, self._in_flight = stream[:count], stream[count:]
 
-        valid, mask = self._valid, (1 << self.latency) - 1
+        # stage k of a tick holds the sample of k ticks before; the first
+        # latency - 1 patterns shift in the outputs already in flight
+        valid, mask = 0, (1 << self.latency) - 1
         history = []
-        for x in ticks:
-            valid = (valid << 1 | (x is not None)) & mask
+        for y in stream:
+            valid = (valid << 1 | (y is not None)) & mask
             history.append(valid)
-        self._valid = valid
+        del history[:self.latency - 1]
         # one occupancy tuple and ops dict per valid-bit pattern in the block
         ops, occupancy = {}, {}
         for bits in set(history):
             busy = occupancy[bits] = tuple(bits >> k & 1 == 1 for k in range(self.latency))
-            fired = [stage for stage, on in zip(self._stage_ops, busy) if on]
+            fired = [stage for stage, on in zip(self.plan.stages, busy) if on]
             ops[bits] = dict(zip(OPS, map(sum, zip((0, 0, 0), *fired))))
 
         start = self._cycle + 1

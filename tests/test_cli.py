@@ -217,6 +217,25 @@ def test_failed_write_is_one_error_line_with_exit_2(csv_file, argv, path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_huge_step_length_streams_to_a_failed_write():
+    # 10**14 rows as a list would take 800 TB; the child's address space
+    # is capped at 1 GB, so only a streamed write reaches /dev/full.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from gdswu.cli import main\n"
+        "sys.exit(main(['step', '--length', '100000000000000', '-o', '/dev/full',\n"
+        "               '--summary', '/dev/null']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv, code", [(["run", "absent.csv"], 1), (["weights", "--taps", "0"], 2)],
     ids=["data-error", "domain-error"],
@@ -560,7 +579,7 @@ def test_the_run_csv_across_block_edges(rows):
     samples = [(7 * i) % 128 for i in range(rows)]
     outputs = [(i * i) % 128 for i in range(rows)]
     fh = io.StringIO()
-    cli._write_run_csv(fh, samples, outputs)
+    cli._write_run_csv(fh, zip(range(rows), samples, outputs))
     assert fh.getvalue() == _f_string_rows(samples, outputs)
 
 

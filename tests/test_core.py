@@ -130,31 +130,6 @@ class TestImpulseResponse:
         assert got[:3] == [15, 14, 11]
 
 
-class TestReset:
-    def test_reset_replays_like_fresh(self):
-        cfg = make_config()
-        filt = GammaWindowFilter(cfg)
-        filt.run([3, 99, 127, 5])
-        filt.reset()
-        reference = [17, 45, 2, 0, 88] * 4
-        assert filt.run(reference) == GammaWindowFilter(cfg).run(reference)
-
-    def test_reset_idempotent(self):
-        filt = GammaWindowFilter(make_config())
-        filt.run([44] * 5)
-        filt.reset()
-        filt.reset()
-        probe = [0, 127, 5, 99]
-        assert filt.run(probe) == GammaWindowFilter(make_config()).run(probe)
-
-    def test_reset_on_fresh_filter_is_identity(self):
-        cfg = make_config()
-        fresh = GammaWindowFilter(cfg)
-        fresh.reset()
-        probe = [1, 2, 3, 127]
-        assert fresh.run(probe) == GammaWindowFilter(cfg).run(probe)
-
-
 class TestWindowProperties:
     @settings(max_examples=60)
     @given(
