@@ -148,7 +148,8 @@ class SystolicPipeline:
         At a bad sample the ticks before it are clocked, then the error of
         ``check_sample`` is raised.
         """
-        values = list(samples)
+        # a list is only read, so it is not copied: a copy adds to the peak memory
+        values = samples if isinstance(samples, list) else list(samples)
         gaps = None in values
         zeroed = [0 if x is None else x for x in values] if gaps else values
         ticks, error = check_samples(zeroed, self._filter._max_raw)
