@@ -259,14 +259,10 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def _settle_index(outputs: list[int]) -> int:
-    """1-based count of samples after which the output stays at its final value."""
-    steady = outputs[-1]
-    settle = 1
-    for i in range(len(outputs) - 1, -1, -1):
-        if outputs[i] != steady:
-            settle = i + 2
-            break
-    return settle
+    """1-based count of samples after which the output stays at its final
+    value; a step response never decreases, so it is the first index of
+    that value, plus one."""
+    return outputs.index(outputs[-1]) + 1
 
 
 def cmd_step(ns: argparse.Namespace) -> int:

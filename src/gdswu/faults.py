@@ -14,8 +14,8 @@ interaction of the two floor divisions on the clean and faulty paths.  The
 largest weights are taken from the actual vector, not assumed to sit at
 lag 0.
 
-Each distinct stream is filtered once, whole, by a fresh filter.  That clean
-run checks the stream's samples and is the clean twin of every spec on it.
+The stream is filtered once, whole, by a fresh filter.  That clean run
+checks the stream's samples and is the clean twin of every spec.
 Each spec then filters only the span of its faulty stream that the fault
 can reach.  An output depends on the last ``taps`` samples alone (finite
 support), so the clean and faulty outputs can differ only at indices
@@ -26,18 +26,15 @@ its first ``start - lo`` outputs are dropped.  When ``lo == 0`` a fresh
 filter's zero padding is the stream's own start; when ``lo > 0`` every kept
 output sees only samples in the span.  So each kept output equals the
 full-stream one, and it is compared with ``clean_out[start:hi]``.
-``attenuation_report`` and ``sweep`` run one loop over the specs, which
-reads and filters a stream shared by every spec once, at the first spec,
-and one stream per spec at its own spec.  Errors name stream indices: a
-window that overruns the stream first, then a bad sample, then an
-out-of-range level, at the fault's start.
+Errors name stream indices: a window that overruns the stream first, then
+a bad sample, then an out-of-range level, at the fault's start.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import FilterConfig, GammaWindowFilter, MODE_NORMALIZED, check_sample
 
@@ -77,8 +74,7 @@ def inject(samples: Sequence[int], spec: FaultSpec) -> list[int]:
     """Pure transformation: returns a copy with the fault window replaced."""
     _check_window(spec, len(samples))
     out = list(samples)
-    for i in range(spec.start, spec.end):
-        out[i] = spec.replacement_value
+    out[spec.start : spec.end] = [spec.replacement_value] * spec.duration
     return out
 
 
@@ -99,17 +95,8 @@ def attenuation_report(
     spec: FaultSpec,
     config: FilterConfig,
 ) -> dict:
-    """The fault's measured output deviation against the clean stream's.
-
-    The report is the ``sweep`` entry of ``spec``: the spec's fields under
-    ``"spec"``, then ``max_output_deviation``, ``analytic_bound``,
-    ``recovery_index`` and ``bound_satisfied``.  Only the span the fault can
-    reach is filtered faulty, and the report equals the one over the whole
-    stream (see the module note).  recovery_index is the first index at or
-    after the fault end from which the two output streams agree for good; a
-    window purge guarantees it is at most ``spec.end + taps - 1``.
-    """
-    return next(_reports([spec], config, [clean_stream]))
+    """The ``sweep`` report of ``spec`` alone over ``clean_stream``."""
+    return sweep([spec], config, [clean_stream])["reports"][0]
 
 
 def _check_window(spec: FaultSpec, length: int) -> None:
@@ -119,16 +106,31 @@ def _check_window(spec: FaultSpec, length: int) -> None:
         )
 
 
-def _reports(
-    specs: Sequence[FaultSpec], config: FilterConfig, streams: Sequence[Iterable[int]]
-) -> Iterator[dict]:
-    """Each spec's report, against one clean run per stream (see the module note)."""
-    for k, spec in enumerate(specs):
-        fresh = k == 0 or len(streams) > 1
-        if fresh:
-            clean = list(streams[k])
+def sweep(
+    specs: Sequence[FaultSpec],
+    config: FilterConfig,
+    streams: Sequence[Iterable[int]],
+) -> dict:
+    """Per-spec attenuation reports over one stream, plus aggregate
+    deviation statistics.
+
+    ``streams`` holds exactly one stream.  It is read once and filtered
+    clean once, after the first spec's window check, which checks its
+    samples; each spec adds one faulty run over the span its fault can
+    reach (see the module note).  A report holds the spec's fields under
+    ``"spec"``, then ``max_output_deviation``, ``analytic_bound``,
+    ``recovery_index`` and ``bound_satisfied``, and equals the one over the
+    whole stream.  recovery_index is the first index at or after the fault
+    end from which the two output streams agree for good; a window purge
+    guarantees it is at most ``spec.end + taps - 1``.
+    """
+    if len(streams) != 1:
+        raise ValueError(f"need exactly 1 stream, got {len(streams)}")
+    clean = list(streams[0])
+    reports = []
+    for spec in specs:
         _check_window(spec, len(clean))
-        if fresh:
+        if not reports:
             clean_out = GammaWindowFilter(config).run(clean)
         try:
             level = check_sample(spec.replacement_value, config.sample_format.max_raw)
@@ -150,34 +152,13 @@ def _reports(
             if d != 0:
                 last_diff = i
 
-        yield {
+        reports.append({
             "spec": dict(vars(spec)),
             "max_output_deviation": max_deviation,
             "analytic_bound": bound,
             "recovery_index": max(spec.end, last_diff + 1),
             "bound_satisfied": max_deviation <= bound,
-        }
-
-
-def sweep(
-    specs: Sequence[FaultSpec],
-    config: FilterConfig,
-    streams: Sequence[Iterable[int]],
-) -> dict:
-    """Per-spec attenuation reports plus aggregate deviation statistics.
-
-    ``streams`` is either a single stream shared by every spec or one
-    stream per spec.  Each distinct stream is read and filtered clean once,
-    which checks its samples: a shared stream at the first spec, a per-spec
-    stream at its own spec.  Each spec adds one faulty run over the span its
-    fault can reach, so a sweep makes one filter run per spec plus one per
-    stream.
-    """
-    if len(streams) not in (1, len(specs)) and specs:
-        raise ValueError(
-            f"need 1 stream or {len(specs)} streams, got {len(streams)}"
-        )
-    reports = list(_reports(specs, config, streams))
+        })
 
     deviations = [r["max_output_deviation"] for r in reports]
     slacks = [r["analytic_bound"] - r["max_output_deviation"] for r in reports]

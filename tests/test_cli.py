@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from gdswu import cli
 from gdswu.cli import DataError, main
 from gdswu.core import make_config, step_response
+from gdswu.gamma_weights import MAX_TAPS
 from gdswu.oracle import oracle_exact
+from strategies import configs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -637,6 +639,36 @@ def test_step_golden_csv_and_summary(capsys):
     code, out, err = run_cli(capsys, ["step", "--taps", "4", "--length", "6", "--seed", "0x64"])
     assert (code, err) == (0, "")
     assert out == STEP_TAPS_4
+
+
+def _settle_by_backward_scan(outputs):
+    for i in range(len(outputs) - 1, -1, -1):
+        if outputs[i] != outputs[-1]:
+            return i + 2
+    return 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=configs(), data=st.data())
+def test_the_settle_index_is_where_the_step_response_last_changes(config, data):
+    seed = data.draw(st.integers(0, config.sample_format.max_raw))
+    length = config.taps + data.draw(st.integers(0, 3))
+    outputs = step_response(config, seed, length)
+    assert cli._settle_index(outputs) == _settle_by_backward_scan(outputs)
+
+
+@pytest.mark.parametrize("taps", [MAX_TAPS + 1, 100000000])
+@pytest.mark.parametrize("command", [["weights"], ["step", "--length", "5"]])
+def test_a_window_over_max_taps_is_one_domain_error_line(capsys, command, taps):
+    code, out, err = run_cli(capsys, [*command, "--taps", str(taps)])
+    assert (code, out) == (2, "")
+    assert err == f"error: taps must be in 1..{MAX_TAPS}, got {taps}\n"
+
+
+def test_a_window_of_max_taps_builds(capsys):
+    code, out, err = run_cli(capsys, ["weights", "--taps", str(MAX_TAPS)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["taps"] == MAX_TAPS
 
 
 def test_usage_error_exits_2_without_a_traceback():

@@ -124,16 +124,64 @@ def test_attenuation_report_equals_the_full_stream_oracle(case):
     assert sweep([spec], config, [stream])["reports"][0] == report
 
 
+@st.composite
+def swept_streams(draw, min_specs=2, max_specs=4):
+    """A config, one stream and specs anywhere on it, from index 0 to the
+    last sample."""
+    config = draw(configs())
+    stream = draw(streams(config, min_size=1))
+    n = len(stream)
+    edge = st.sampled_from((0, n - 1))
+    specs = []
+    for _ in range(draw(st.integers(min_specs, max_specs))):
+        start = draw(st.one_of(edge, st.integers(0, n - 1)))
+        specs.append(FaultSpec(
+            kind=draw(st.sampled_from(FAULT_KINDS)),
+            start=start,
+            duration=draw(st.integers(1, n - start)),
+            magnitude=draw(st.integers(0, config.sample_format.max_raw)),
+        ))
+    return config, stream, specs
+
+
 @settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_a_sweep_over_per_spec_streams_equals_the_full_stream_oracle(data):
-    config = data.draw(configs())
-    cases = data.draw(st.lists(faulted_streams(config), min_size=2, max_size=4))
-    result = sweep([spec for _, _, spec in cases], config, [s for _, s, _ in cases])
-    assert result["reports"] == [
-        {"spec": vars(spec), **expected_report(config, stream, spec)}
-        for _, stream, spec in cases
+@given(case=swept_streams())
+def test_a_sweep_over_one_stream_equals_the_full_stream_oracle(case):
+    config, stream, specs = case
+    assert sweep(specs, config, [stream])["reports"] == [
+        {"spec": vars(spec), **expected_report(config, stream, spec)} for spec in specs
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=swept_streams(min_specs=1, max_specs=5))
+def test_the_sweep_aggregate_summarizes_its_reports(case):
+    config, stream, specs = case
+    result = sweep(specs, config, [stream])
+    deviations = [r["max_output_deviation"] for r in result["reports"]]
+    slacks = [r["analytic_bound"] - r["max_output_deviation"] for r in result["reports"]]
+    assert result["aggregate"] == {
+        "count": len(specs),
+        "min_deviation": min(deviations),
+        "max_deviation": max(deviations),
+        "mean_deviation": sum(deviations) / len(deviations),
+        "worst_bound_slack": min(slacks),
+        "all_bounds_satisfied": all(r["bound_satisfied"] for r in result["reports"]),
+    }
+
+
+def test_an_empty_sweep_has_an_empty_aggregate():
+    assert sweep([], make_config(taps=4), [[1, 2, 3]]) == {
+        "reports": [],
+        "aggregate": {
+            "count": 0,
+            "min_deviation": None,
+            "max_deviation": None,
+            "mean_deviation": None,
+            "worst_bound_slack": None,
+            "all_bounds_satisfied": True,
+        },
+    }
 
 
 def _raises(call, kind, message):
@@ -176,7 +224,6 @@ def test_report_errors_name_stream_indices_in_a_fixed_order(stream, spec, kind, 
     config = make_config(taps=4)
     _raises(lambda: attenuation_report(stream, spec, config), kind, message)
     _raises(lambda: sweep([spec, FaultSpec("dropout", 0)], config, [stream]), kind, message)
-    _raises(lambda: sweep([spec, spec], config, [stream, stream]), kind, message)
 
 
 def test_sweep_checks_the_level_of_each_spec_on_a_shared_stream():
@@ -189,18 +236,26 @@ def test_sweep_checks_the_level_of_each_spec_on_a_shared_stream():
 
 def test_sweep_raises_the_first_failing_spec_error():
     config = make_config(taps=4)
-    bad_stream = _stream_with(250, 200)
-    overrun = FaultSpec("spike", 9, 2)
-    _raises(lambda: sweep([overrun, FaultSpec("spike", 0)], config, [[1] * 10, bad_stream]),
-            ValueError, "fault window [9, 11) exceeds stream length 10")
-    _raises(lambda: sweep([FaultSpec("spike", 0), overrun], config, [bad_stream, [1] * 10]),
+    stream = _stream_with(250, 200)
+    specs = [FaultSpec("spike", 0), FaultSpec("spike", 299, 2)]
+    _raises(lambda: sweep(specs, config, [stream]),
             ValueError, "sample 250: sample 200 out of range 0..127")
+    _raises(lambda: sweep(specs[::-1], config, [stream]),
+            ValueError, "fault window [299, 301) exceeds stream length 300")
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_a_sweep_takes_exactly_one_stream(count):
+    stream = _stream_with(0, 0)
+    for specs in ([], [FaultSpec("spike", 0)]):
+        _raises(lambda: sweep(specs, make_config(taps=4), [stream] * count),
+                ValueError, f"need exactly 1 stream, got {count}")
 
 
 SWEEP_SPECS = [FaultSpec(FAULT_KINDS[i % 3], 20 * i, 1 + i % 4, 9 * i) for i in range(12)]
 
 
-def _sweep_counting_runs(specs, streams):
+def _sweep_counting_runs(specs, stream):
     """The sweep, and the length of the block each filter run was given.
 
     A stream's samples are checked by the run over the whole stream (300
@@ -215,21 +270,14 @@ def _sweep_counting_runs(specs, streams):
         return real(self, samples)
 
     with mock.patch.object(GammaWindowFilter, "run", counting):
-        result = sweep(specs, make_config(taps=8), streams)
+        result = sweep(specs, make_config(taps=8), [stream])
     return lengths, result
 
 
 def test_a_sweep_checks_one_shared_stream_once():
-    lengths, result = _sweep_counting_runs(SWEEP_SPECS, [_stream_with(0, 0)])
+    lengths, result = _sweep_counting_runs(SWEEP_SPECS, _stream_with(0, 0))
     assert (lengths.count(300), result["aggregate"]["count"]) == (1, 12)
-    assert len(lengths) == 13  # one run per spec plus one per stream
-
-
-def test_a_sweep_checks_each_of_two_per_spec_streams():
-    streams = [_stream_with(0, 0), _stream_with(0, 5)]
-    lengths, result = _sweep_counting_runs(SWEEP_SPECS[:2], streams)
-    assert (lengths.count(300), result["aggregate"]["count"]) == (2, 2)
-    assert len(lengths) == 4
+    assert len(lengths) == 13  # one run per spec plus the clean run
 
 
 def test_a_sweep_reads_a_shared_iterator_once():

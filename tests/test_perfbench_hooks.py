@@ -23,11 +23,15 @@ TRACING = os.path.join(
 )
 
 
-def test_every_traced_attribute_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    targets = [(owner, attr) for owner, attr, _, _ in tracing._targets()]
+    return tracing
+
+
+def test_every_traced_attribute_resolves():
+    targets = [(owner, attr) for owner, attr, _, _ in _tracing()._targets()]
     targets.append((gdswu.core, "mac_exact"))
     missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if not hasattr(owner, attr)]
     assert missing == []
@@ -107,3 +111,17 @@ def test_run_and_sweep_call_the_public_filter_run(tmp_path):
         assert hook.call_count == 1
         gdswu.faults.sweep([spec], config, [[5, 9, 7, 3]])
         assert hook.call_count > 1
+
+
+def test_the_sweep_span_reads_the_workload_call_shape():
+    # The fault-sweep workload calls sweep(specs, config, [samples]), and
+    # tracing.py labels the span with len(args[0]) and len(args[2][0]).
+    config = gdswu.make_config(taps=8, mode="raw-accumulate")
+    samples = [(5 * i) % 128 for i in range(64)]
+    specs = [gdswu.FaultSpec(kind, start, duration, 127)
+             for kind in ("spike", "stuck", "dropout") for start in (16, 48) for duration in (1, 16)]
+    args = (specs, config, [samples])
+    result = gdswu.faults.sweep(*args)
+    (attrs,) = [fn for owner, attr, _, fn in _tracing()._targets()
+                if (owner, attr) == (gdswu.faults, "sweep")]
+    assert attrs(args, result) == {"specs": len(specs), "stream_len": len(samples)}
