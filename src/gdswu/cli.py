@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from itertools import chain, count, islice, repeat
+from operator import itemgetter
 
 from .core import (
     MODES,
@@ -43,8 +44,19 @@ from .systolic import (
 HW_REPORTED_STEP_STEADY = 0x3A
 HW_CLAIMED_OPS_PER_CYCLE = 22
 
-# Rows formatted per write: the CSV writers never hold a full-size row list.
+# Cycle rows formatted per write: the cycle CSV never holds a full-size row
+# list.  The run CSV writes a thousand rows at a time (_THOUSAND).
 BLOCK_ROWS = 8192
+
+# Rows per value of 0..max_raw before _parse_fast parses by a str -> int
+# table: an entry costs about one int() to build (break-even near 3 rows
+# per value), and a 64-bit sample format never builds its 2**64 entries.
+_TABLE_ROWS_PER_VALUE = 8
+
+# The run-CSV rows of a thousand-row block: the index's last three digits,
+# then the input and output.  Block p prefixes str(p); block 0 is unpadded.
+_THOUSAND = tuple(f"{k:03d},%d,%d\n" for k in range(1000))
+_FIRST_THOUSAND = tuple(f"{k},%d,%d\n" for k in range(1000))
 
 # Config keys and their value types, from the parameters of make_config.
 _CONFIG_TYPES = {
@@ -149,8 +161,15 @@ def _parse_fast(text: str, has_header: bool, max_raw: int) -> list[int] | None:
     ``k`` a multiple of ``w``.  Testing those windows for a ``\\n`` finds
     every such line without measuring each one.  A line of ``w`` to
     ``limit`` characters can trip the test too; the ``csv`` path then gives
-    the same samples.  ``int`` yields only ints, so the parsed values need
-    only a range test.
+    the same samples.
+
+    When there are at least ``_TABLE_ROWS_PER_VALUE`` rows per value in
+    ``0..max_raw``, each line is looked up in a table from ``str(v)`` to
+    ``v``.  A hit means the line is exactly ``str(v)``, which ``int`` also
+    reads as ``v``, and every table value is in range.  Any miss (``+5``,
+    `` 5``, ``007``, ``1_0``, ``-0``, non-ASCII digits, an out-of-range
+    value) falls back to ``int``, which yields only ints, so its values
+    need only a range test.
     """
     if "," in text or '"' in text or "\r" in text:
         return None
@@ -160,8 +179,14 @@ def _parse_fast(text: str, has_header: bool, max_raw: int) -> list[int] | None:
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
+    if has_header:
+        del lines[:1]
+    if (max_raw + 1) * _TABLE_ROWS_PER_VALUE <= len(lines):
+        table = {str(v): v for v in range(max_raw + 1)}
+        with suppress(KeyError):
+            return list(map(table.__getitem__, lines))
     try:
-        values = list(map(int, lines[1:] if has_header else lines))
+        values = list(map(int, lines))
     except ValueError:
         return None
     if values and (min(values) < 0 or max(values) > max_raw):
@@ -238,10 +263,20 @@ def _print_json(obj: dict, path: str) -> None:
 
 
 def _write_run_csv(fh, rows) -> None:
-    """The run CSV of ``rows``, an iterator of (index, input, output)."""
+    """The run CSV of ``rows``, an iterator of (input, output), indexed from 0.
+
+    Rows ``1000p`` to ``1000p + 999`` share the index prefix ``str(p)``, so
+    each block of a thousand rows is one template, ``str(p)`` joined before
+    the first ``n`` rows of ``_THOUSAND``, formatted with one ``%`` over the
+    block's values.  Block 0 uses the unpadded ``_FIRST_THOUSAND``.
+    """
     fh.write("index,input,output\n")
-    while fields := tuple(chain.from_iterable(islice(rows, BLOCK_ROWS))):
-        fh.write("%d,%d,%d\n" * (len(fields) // 3) % fields)
+    for p in count():
+        fields = tuple(chain.from_iterable(islice(rows, 1000)))
+        if not fields:
+            return
+        prefix, block = (str(p), _THOUSAND) if p else ("", _FIRST_THOUSAND)
+        fh.write(prefix.join(["", *block[:len(fields) // 2]]) % fields)
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
@@ -254,7 +289,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     outputs = GammaWindowFilter(config).run(samples)
     with _open_out(ns.output) as fh:
-        _write_run_csv(fh, zip(count(), samples, outputs))
+        _write_run_csv(fh, zip(samples, outputs))
     return 0
 
 
@@ -271,7 +306,9 @@ def cmd_step(ns: argparse.Namespace) -> int:
     # the window is full from the taps-th sample on, so later outputs repeat
     outputs = step_response(config, ns.seed, min(ns.length, config.taps))
     steady = outputs[-1]
-    rows = zip(range(ns.length), repeat(ns.seed), chain(outputs, repeat(steady)))
+    pairs = zip(repeat(ns.seed), chain(outputs, repeat(steady)))
+    # a range bounds the rows: repeat(x, n) and islice(it, n) refuse n > sys.maxsize
+    rows = map(itemgetter(1), zip(range(ns.length), pairs))
     with _open_out(ns.output) as fh:
         _write_run_csv(fh, rows)
     summary = {

@@ -27,7 +27,10 @@ shifts them through the FIFO, so the first output appears on tick
 ``latency``.  Stage k of a tick holds the sample of k ticks before, so
 stage k is busy when that tick's output, read off the FIFO and the block's
 outputs, is not None.  A tick's op counts are the sum of the plan over its
-busy stages.
+busy stages.  Occupancy is computed by runs: while every stage is busy the
+valid-bit pattern holds up to the next idle output, so such a run is one
+step, and only ticks whose window holds an idle output are stepped one by
+one.  A gapless block costs about latency steps, not one per tick.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
@@ -49,7 +52,7 @@ every idle tick before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .core import FilterConfig, GammaWindowFilter, check_samples
@@ -163,25 +166,46 @@ class SystolicPipeline:
         emitted, self._in_flight = stream[:count], stream[count:]
 
         # stage k of a tick holds the sample of k ticks before; the first
-        # latency - 1 patterns shift in the outputs already in flight
-        valid, mask = 0, (1 << self.latency) - 1
-        history = []
-        for y in stream:
-            valid = (valid << 1 | (y is not None)) & mask
-            history.append(valid)
-        del history[:self.latency - 1]
+        # latency - 1 items of the stream are the outputs already in flight.
+        # spans alternate: the per-tick patterns of ticks whose window holds
+        # an idle output, then the tick count of a run with every stage busy.
+        full, lead = (1 << self.latency) - 1, self.latency - 1
+        valid = 0
+        for y in stream[:lead]:
+            valid = valid << 1 | (y is not None)
+        spans, stepped, i = [], [], lead
+        while i < len(stream):
+            if valid == full and stream[i] is not None:
+                # an index search, not a slice test, keeps gappy blocks linear
+                try:
+                    j = stream.index(None, i)
+                except ValueError:
+                    j = len(stream)
+                spans += (stepped, j - i)
+                stepped, i = [], j
+            else:
+                valid = (valid << 1 | (stream[i] is not None)) & full
+                stepped.append(valid)
+                i += 1
+        spans.append(stepped)
         # one occupancy tuple and ops dict per valid-bit pattern in the block
         ops, occupancy = {}, {}
-        for bits in set(history):
+        for bits in {full, *chain.from_iterable(spans[::2])}:
             busy = occupancy[bits] = tuple(bits >> k & 1 == 1 for k in range(self.latency))
             fired = [stage for stage, on in zip(self.plan.stages, busy) if on]
             ops[bits] = dict(zip(OPS, map(sum, zip((0, 0, 0), *fired))))
+
+        def column(of):
+            return chain.from_iterable(
+                repeat(of[full], span) if k % 2 else map(of.__getitem__, span)
+                for k, span in enumerate(spans)
+            )
 
         start = self._cycle + 1
         self._cycle += count
         reports = list(map(
             CycleReport, range(start, start + count), ticks, emitted,
-            map(ops.__getitem__, history), map(occupancy.__getitem__, history),
+            column(ops), column(occupancy),
         ))
         if error is not None:
             raise error

@@ -10,11 +10,12 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gdswu import cli
@@ -219,14 +220,16 @@ def test_failed_write_is_one_error_line_with_exit_2(csv_file, argv, path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_huge_step_length_streams_to_a_failed_write():
+@pytest.mark.parametrize("length", [10**14, 10**20], ids=["1e14", "1e20"])
+def test_a_huge_step_length_streams_to_a_failed_write(length):
     # 10**14 rows as a list would take 800 TB; the child's address space
-    # is capped at 1 GB, so only a streamed write reaches /dev/full.
+    # is capped at 1 GB, so only a streamed write reaches /dev/full.  Past
+    # sys.maxsize the rows must still be counted without a traceback.
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from gdswu.cli import main\n"
-        "sys.exit(main(['step', '--length', '100000000000000', '-o', '/dev/full',\n"
+        f"sys.exit(main(['step', '--length', '{length}', '-o', '/dev/full',\n"
         "               '--summary', '/dev/null']))\n"
     )
     done = subprocess.run(
@@ -326,6 +329,42 @@ def test_the_fast_path_parses_as_the_csv_rows_do(text, has_header, max_raw):
     args = (text, "in.csv", has_header, max_raw)
     fast = cli._parse_fast(text, has_header, max_raw)
     assert fast is None or fast == _outcome(cli._parse_rows, *args)
+
+
+# spellings that int reads but that are not str(v), and rows no path accepts
+NON_CANONICAL = ("+5", " 5", "5 ", "007", "1_0", "-0", "\u0663", "128", "", "abc")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    max_raw=st.sampled_from((1, 127)),
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    header=st.sampled_from((None, "sample", "5")),
+    place=st.floats(0, 1, exclude_max=True),
+    final_newline=st.booleans(),
+    data=st.data(),
+)
+def test_the_table_path_parses_as_the_csv_rows_do(
+    tmp_path, max_raw, extra, seed, header, place, final_newline, data
+):
+    # enough rows for _parse_fast to look them up in a table of str(v)
+    rng = random.Random(seed)
+    least = cli._TABLE_ROWS_PER_VALUE * (max_raw + 1)
+    rows = [str(rng.randint(0, max_raw)) for _ in range(least + extra)]
+    spelling = data.draw(st.sampled_from((None, *NON_CANONICAL, str(max_raw + 1))))
+    if spelling is not None:
+        rows[int(place * len(rows))] = spelling
+    if header is not None:
+        rows.insert(0, header)
+    text = "\n".join(rows) + "\n" * final_newline
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    has_header = header is not None
+    want = _outcome(cli._parse_rows, text, str(path), has_header, max_raw)
+    fast = cli._parse_fast(text, has_header, max_raw)
+    assert fast is None or fast == want
+    assert _outcome(cli._read_samples, str(path), has_header, max_raw) == want
 
 
 @pytest.mark.parametrize("line", ["1" * 200000, " " * 200000 + "5"], ids=["digits", "padded"])
@@ -576,13 +615,25 @@ def _f_string_rows(samples, outputs):
     )
 
 
-@pytest.mark.parametrize("rows", [0, 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1])
-def test_the_run_csv_across_block_edges(rows):
+def _run_csv(rows):
     samples = [(7 * i) % 128 for i in range(rows)]
     outputs = [(i * i) % 128 for i in range(rows)]
     fh = io.StringIO()
-    cli._write_run_csv(fh, zip(range(rows), samples, outputs))
-    assert fh.getvalue() == _f_string_rows(samples, outputs)
+    cli._write_run_csv(fh, zip(samples, outputs))
+    return fh.getvalue(), _f_string_rows(samples, outputs)
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, 999, 1000, 1001, 2000, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1]
+)
+def test_the_run_csv_across_block_edges(rows):
+    got, want = _run_csv(rows)
+    assert got == want
+
+
+def test_the_run_csv_index_grows_to_seven_digits():
+    got, want = _run_csv(1_000_001)
+    assert got.splitlines()[-3:] == want.splitlines()[-3:]
 
 
 def test_a_step_csv_past_one_block(tmp_path):

@@ -63,6 +63,19 @@ def test_a_gappy_stream_in_one_block_matches_the_reference_models(data):
     assert drain >= 0 and (drain == 0 or reports[-1].emitted_output is not None)
 
 
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("taps", [1, 2, 16])
+def test_busy_stretches_between_idle_ticks_match_the_reference_models(taps, architecture):
+    # each stretch fills every stage and runs on, so clock jumps over it
+    config = make_config(taps=taps)
+    stream = ([5] * 20 + [None]) * 3 + [7] * 3
+    _, reports = run_pipeline(build_pipeline(config, architecture), stream)
+    reference = build_reference(config, architecture)
+    drain = len(reports) - len(stream)
+    want = [reference.tick(sample)[1] for sample in stream + [None] * drain]
+    assert list(map(fields, reports)) == list(map(fields, want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_run_pipeline_matches_the_reference_models(data):
