@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from itertools import chain, count, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .core import (
@@ -29,13 +29,15 @@ from .core import (
     make_config,
     step_response,
 )
+from .csv_rows import numbered_rows
 from .faults import FAULT_KINDS, FaultSpec, sweep
 from .fixed_point import ROUNDING_MODES
 from .systolic import (
     ARCHITECTURES,
     CYCLE_CSV_HEADER,
+    OPS,
     build_pipeline,
-    cycle_csv_lines,
+    cycle_csv_blocks,
     run_pipeline,
 )
 
@@ -44,19 +46,10 @@ from .systolic import (
 HW_REPORTED_STEP_STEADY = 0x3A
 HW_CLAIMED_OPS_PER_CYCLE = 22
 
-# Cycle rows formatted per write: the cycle CSV never holds a full-size row
-# list.  The run CSV writes a thousand rows at a time (_THOUSAND).
-BLOCK_ROWS = 8192
-
 # Rows per value of 0..max_raw before _parse_fast parses by a str -> int
 # table: an entry costs about one int() to build (break-even near 3 rows
 # per value), and a 64-bit sample format never builds its 2**64 entries.
 _TABLE_ROWS_PER_VALUE = 8
-
-# The run-CSV rows of a thousand-row block: the index's last three digits,
-# then the input and output.  Block p prefixes str(p); block 0 is unpadded.
-_THOUSAND = tuple(f"{k:03d},%d,%d\n" for k in range(1000))
-_FIRST_THOUSAND = tuple(f"{k},%d,%d\n" for k in range(1000))
 
 # Config keys and their value types, from the parameters of make_config.
 _CONFIG_TYPES = {
@@ -263,20 +256,9 @@ def _print_json(obj: dict, path: str) -> None:
 
 
 def _write_run_csv(fh, rows) -> None:
-    """The run CSV of ``rows``, an iterator of (input, output), indexed from 0.
-
-    Rows ``1000p`` to ``1000p + 999`` share the index prefix ``str(p)``, so
-    each block of a thousand rows is one template, ``str(p)`` joined before
-    the first ``n`` rows of ``_THOUSAND``, formatted with one ``%`` over the
-    block's values.  Block 0 uses the unpadded ``_FIRST_THOUSAND``.
-    """
+    """The run CSV of ``rows``, an iterator of (input, output), indexed from 0."""
     fh.write("index,input,output\n")
-    for p in count():
-        fields = tuple(chain.from_iterable(islice(rows, 1000)))
-        if not fields:
-            return
-        prefix, block = (str(p), _THOUSAND) if p else ("", _FIRST_THOUSAND)
-        fh.write(prefix.join(["", *block[:len(fields) // 2]]) % fields)
+    fh.writelines(numbered_rows(0, rows))
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
@@ -339,20 +321,21 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
     samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     model = build_pipeline(config, ns.architecture)
-    _, reports = run_pipeline(model, samples)
+    _, trace = run_pipeline(model, samples)
     with _open_out(ns.output) as fh:
         fh.write(",".join(CYCLE_CSV_HEADER) + "\n")
-        for lo in range(0, len(reports), BLOCK_ROWS):
-            fh.write(cycle_csv_lines(reports[lo:lo + BLOCK_ROWS]))
+        fh.writelines(cycle_csv_blocks(trace))
     # Ops are those of the first cycle with every stage busy; a stream
     # shorter than the pipeline never fills it, so it has none to report.
-    full = next((r for r in reports if all(r.stage_occupancy)), None)
-    total = None if full is None else full.total_ops
+    full = model.plan.full
+    filled = any(bits == full for bits, _ in trace.runs)
+    ops = dict(zip(OPS, model.plan.ops(full))) if filled else None
+    total = None if ops is None else sum(ops.values())
     footer = {
         "taps": config.taps,
         "architecture": ns.architecture,
         "latency": model.latency,
-        "ops": None if full is None else full.ops,
+        "ops": ops,
         "ops_per_cycle_total": total,
         "hw_claimed_ops_per_cycle": HW_CLAIMED_OPS_PER_CYCLE,
         "ops_delta": None if total is None else total - HW_CLAIMED_OPS_PER_CYCLE,

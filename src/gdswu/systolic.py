@@ -1,9 +1,10 @@
 """Cycle-accurate model of the fully pipelined window datapath.
 
-The model is cycle-accurate at its ports.  Each tick's ``CycleReport`` says
-which sample it consumed, which output it emitted, which stages hold a
-sample and how many ops the busy stages fired.  The partial sums inside the
-latches are not modelled, since nothing outside the datapath can see them.
+The model is cycle-accurate at its ports.  Clocking a block of ticks
+returns a ``CycleTrace``: which sample each tick consumed, which output it
+emitted, which stages held a sample and how many ops the busy stages
+fired.  The partial sums inside the latches are not modelled, since
+nothing outside the datapath can see them.
 
 Each architecture is a stage plan: the ops a stage fires on a tick when it
 holds a sample.  The latency is the plan's stage count.
@@ -26,11 +27,20 @@ of ticks takes its outputs from one pass of the filter's block kernel and
 shifts them through the FIFO, so the first output appears on tick
 ``latency``.  Stage k of a tick holds the sample of k ticks before, so
 stage k is busy when that tick's output, read off the FIFO and the block's
-outputs, is not None.  A tick's op counts are the sum of the plan over its
-busy stages.  Occupancy is computed by runs: while every stage is busy the
-valid-bit pattern holds up to the next idle output, so such a run is one
-step, and only ticks whose window holds an idle output are stepped one by
-one.  A gapless block costs about latency steps, not one per tick.
+outputs, is not None.
+
+The trace keeps columns, not per-tick objects: the inputs and outputs as
+lists, and the stage occupancy as runs of (valid-bit pattern, tick count),
+bit k of a pattern being stage k.  The pattern changes only while the
+pipeline fills or drains or an idle tick passes through it.  While every
+stage is busy it holds up to the next idle output, so such a run is one
+step, found by an index search; only ticks whose window holds an idle
+output are stepped one by one, a run each.  A gapless block costs about
+latency steps, and a steady stretch is a single run: the change-only idea
+of a value change dump (IEEE Std 1364-2005, clause 18).  A pattern's ops
+are counted by popcount: the plan keeps one bit mask per distinct stage
+op triple.  The cycle CSV is formatted a run at a time; per-tick
+``CycleReport`` views exist for tests and checks only.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
@@ -51,11 +61,12 @@ every idle tick before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import NamedTuple
+import operator
+from itertools import chain, count, groupby, islice, repeat
+from typing import Iterator, NamedTuple
 
 from .core import FilterConfig, GammaWindowFilter, check_samples
+from .csv_rows import numbered_rows
 
 ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
 OPS: tuple[str, ...] = ("multiply", "add", "normalize")
@@ -63,10 +74,28 @@ OPS: tuple[str, ...] = ("multiply", "add", "normalize")
 
 class StagePlan(NamedTuple):
     """An architecture's stages, each the (multiply, add, normalize) ops it
-    fires while busy; the stage count is the latency."""
+    fires while busy; the stage count is the latency.  ``groups`` holds
+    (mask, multiply, add, normalize) for each distinct triple, bit k of the
+    mask set when stage k fires it."""
 
     architecture: str
     stages: tuple[tuple[int, int, int], ...]
+    groups: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def full(self) -> int:
+        """The valid-bit pattern with every stage busy."""
+        return (1 << len(self.stages)) - 1
+
+    def ops(self, bits: int) -> tuple[int, int, int]:
+        """The (multiply, add, normalize) ops of the stages busy in ``bits``."""
+        multiply = add = normalize = 0
+        for mask, m, a, n in self.groups:
+            busy = (bits & mask).bit_count()
+            multiply += busy * m
+            add += busy * a
+            normalize += busy * n
+        return multiply, add, normalize
 
 
 def _stage_plan(taps: int, architecture: str) -> StagePlan:
@@ -83,48 +112,166 @@ def _stage_plan(taps: int, architecture: str) -> StagePlan:
         for _ in range(max(1, (taps - 1).bit_length())):
             stages.append((0, width // 2, 0))
             width -= width // 2
-    return StagePlan(architecture, (*stages, (0, 0, 1)))
+    stages.append((0, 0, 1))
+    masks: dict[tuple[int, int, int], int] = {}
+    for k, stage in enumerate(stages):
+        masks[stage] = masks.get(stage, 0) | 1 << k
+    return StagePlan(architecture, tuple(stages), tuple((m, *s) for s, m in masks.items()))
 
 
-@dataclass(slots=True)
-class CycleReport:
-    """What one clock tick did: ops fired, stage occupancy, any output.
+class _PerPattern(dict):
+    """``make(key)`` for each key, made on its first lookup."""
 
-    ``stage_occupancy[k]`` is True when the tick k cycles before consumed a
-    sample.  The reports of one block of ticks with the same occupancy share
-    one ``ops`` dict and one ``stage_occupancy`` tuple; treat both as
-    read-only.
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        self[key] = self._make(key)
+        return self[key]
+
+
+class CycleTrace:
+    """What a run of ticks did, by columns.
+
+    Tick ``t`` is cycle ``first_cycle + t``; it consumed ``inputs[t]`` and
+    emitted ``outputs[t]``, None when idle.  ``runs`` covers the ticks in
+    order with (valid-bit pattern, tick count) pairs, bit k set when stage
+    k holds a sample; neighbouring runs may share a pattern.  ``plan``
+    turns a pattern into ops.
+
+    ``len``, iteration, ``reversed`` and ``trace[i]`` give one
+    ``CycleReport`` view per tick, for tests and checks; the writers read
+    the columns and runs.
     """
 
-    cycle: int
-    consumed_input: int | None
-    emitted_output: int | None
-    ops: dict[str, int]
-    stage_occupancy: tuple[bool, ...]
+    __slots__ = ("first_cycle", "inputs", "outputs", "runs", "plan", "_occupancy", "_ops")
+
+    def __init__(self, first_cycle: int, inputs: list[int | None],
+                 outputs: list[int | None], runs: list[tuple[int, int]], plan: StagePlan):
+        self.first_cycle = first_cycle
+        self.inputs = inputs
+        self.outputs = outputs
+        self.runs = runs
+        self.plan = plan
+        # each pattern's ops triple and occupancy tuple, made on first use
+        self._ops = _PerPattern(plan.ops)
+        self._occupancy = _PerPattern(
+            lambda bits: tuple(bits >> k & 1 == 1 for k in range(len(plan.stages)))
+        )
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __iter__(self) -> Iterator[CycleReport]:
+        tick = 0
+        for bits, length in self.runs:
+            for t in range(tick, tick + length):
+                yield CycleReport(self, t, bits)
+            tick += length
+
+    def __reversed__(self) -> Iterator[CycleReport]:
+        tick = len(self)
+        for bits, length in reversed(self.runs):
+            for t in range(tick - 1, tick - length - 1, -1):
+                yield CycleReport(self, t, bits)
+            tick -= length
+
+    def __getitem__(self, index: int) -> CycleReport:
+        tick = range(len(self))[operator.index(index)]
+        return next(islice(self, tick, None))
+
+    def extend(self, later: CycleTrace) -> None:
+        """Append the ticks of the block clocked right after this one.
+
+        The columns become new lists, so the output list that ``clock``
+        returned with this trace keeps its length."""
+        self.inputs = self.inputs + later.inputs
+        self.outputs = self.outputs + later.outputs
+        self.runs = self.runs + later.runs
+
+
+class CycleReport:
+    """One tick of a ``CycleTrace``, read through to its columns.
+
+    ``stage_occupancy[k]`` is True when the tick k cycles before consumed a
+    sample; the views of one pattern share that tuple, so treat it as
+    read-only.  Setting ``emitted_output`` writes the trace's output column.
+    """
+
+    __slots__ = ("_trace", "_tick", "_bits")
+
+    def __init__(self, trace: CycleTrace, tick: int, bits: int):
+        self._trace = trace
+        self._tick = tick
+        self._bits = bits
+
+    @property
+    def cycle(self) -> int:
+        return self._trace.first_cycle + self._tick
+
+    @property
+    def consumed_input(self) -> int | None:
+        return self._trace.inputs[self._tick]
+
+    @property
+    def emitted_output(self) -> int | None:
+        return self._trace.outputs[self._tick]
+
+    @emitted_output.setter
+    def emitted_output(self, value: int | None) -> None:
+        self._trace.outputs[self._tick] = value
+
+    @property
+    def ops(self) -> dict[str, int]:
+        return dict(zip(OPS, self._trace._ops[self._bits]))
+
+    @property
+    def stage_occupancy(self) -> tuple[bool, ...]:
+        return self._trace._occupancy[self._bits]
 
     @property
     def total_ops(self) -> int:
-        return sum(self.ops.values())
+        return sum(self._trace._ops[self._bits])
 
 
 CYCLE_CSV_HEADER = ("cycle", "input", "output", "mult_ops", "add_ops", "other_ops")
 
 
-def cycle_csv_lines(reports: list[CycleReport]) -> str:
-    """The cycle-CSV rows of ``reports``, each ending in ``\\n``.
+def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
+    """The cycle-CSV rows of ``trace``, each ending in ``\\n``, a block at a time.
 
-    Idle inputs and outputs are empty fields.  The ops columns are formatted
-    once per distinct ``ops`` dict, which the reports of a block share.
+    Idle inputs and outputs are empty fields.  A stretch of runs with every
+    stage busy consumed and emitted on each of its ticks, so
+    ``numbered_rows`` formats it a thousand rows at a time.  Any other
+    stretch gets one row per tick, up to a thousand rows per block.
     """
-    ops_text = {
-        key: f",{ops['multiply']},{ops['add']},{ops['normalize']}\n"
-        for key, ops in {id(r.ops): r.ops for r in reports}.items()
-    }
-    return "".join([
-        f"{r.cycle},{'' if r.consumed_input is None else r.consumed_input},"
-        f"{'' if r.emitted_output is None else r.emitted_output}{ops_text[id(r.ops)]}"
-        for r in reports
-    ])
+    plan, inputs, outputs = trace.plan, trace.inputs, trace.outputs
+    full = plan.full
+    texts = _PerPattern(",%d,%d,%d\n".__mod__)  # the ops columns of each ops triple
+    tick = 0
+    for busy, group in groupby(trace.runs, lambda run: run[0] == full):
+        patterns, lengths = zip(*group)
+        stop = tick + sum(lengths)
+        if busy:
+            pairs = zip(inputs[tick:stop], outputs[tick:stop])
+            yield from numbered_rows(trace.first_cycle + tick, pairs, texts[trace._ops[full]])
+        else:
+            columns = map(texts.__getitem__, map(trace._ops.__getitem__, patterns))
+            ends = chain.from_iterable(map(repeat, columns, lengths))
+            for lo in range(tick, stop, 1000):
+                hi = min(lo + 1000, stop)
+                yield "".join([
+                    f"{c},{'' if x is None else x},{'' if y is None else y}{end}"
+                    for c, x, y, end in zip(count(trace.first_cycle + lo), inputs[lo:hi],
+                                            outputs[lo:hi], islice(ends, hi - lo))
+                ])
+        tick = stop
+
+
+def cycle_csv_lines(trace: CycleTrace) -> str:
+    """The cycle-CSV rows of ``trace``, each ending in ``\\n``."""
+    return "".join(cycle_csv_blocks(trace))
 
 
 class SystolicPipeline:
@@ -144,12 +291,12 @@ class SystolicPipeline:
         # 1 + the index of the newest output in flight, 0 when there is none
         return max((k + 1 for k, y in enumerate(self._in_flight) if y is not None), default=0)
 
-    def clock(self, samples) -> tuple[list[int | None], list[CycleReport]]:
+    def clock(self, samples) -> tuple[list[int | None], CycleTrace]:
         """One tick per item of ``samples``, None being an idle tick.
 
-        Returns each tick's output (None when it emitted none) and report.
-        At a bad sample the ticks before it are clocked, then the error of
-        ``check_sample`` is raised.
+        Returns each tick's output (None when it emitted none), which is the
+        trace's output column, and the trace.  At a bad sample the ticks
+        before it are clocked, then the error of ``check_sample`` is raised.
         """
         # a list is only read, so it is not copied: a copy adds to the peak memory
         values = samples if isinstance(samples, list) else list(samples)
@@ -161,19 +308,16 @@ class SystolicPipeline:
         if gaps:
             ticks = [None if x is None else y for x, y in zip(values, ticks)]
             outputs = [None if x is None else y for x, y in zip(ticks, outputs)]
-        count = len(ticks)
         stream = self._in_flight + outputs
-        emitted, self._in_flight = stream[:count], stream[count:]
+        emitted, self._in_flight = stream[:len(ticks)], stream[len(ticks):]
 
         # stage k of a tick holds the sample of k ticks before; the first
-        # latency - 1 items of the stream are the outputs already in flight.
-        # spans alternate: the per-tick patterns of ticks whose window holds
-        # an idle output, then the tick count of a run with every stage busy.
-        full, lead = (1 << self.latency) - 1, self.latency - 1
+        # latency - 1 items of the stream are the outputs already in flight
+        full, lead = self.plan.full, self.latency - 1
         valid = 0
         for y in stream[:lead]:
             valid = valid << 1 | (y is not None)
-        spans, stepped, i = [], [], lead
+        runs, i = [], lead
         while i < len(stream):
             if valid == full and stream[i] is not None:
                 # an index search, not a slice test, keeps gappy blocks linear
@@ -181,35 +325,17 @@ class SystolicPipeline:
                     j = stream.index(None, i)
                 except ValueError:
                     j = len(stream)
-                spans += (stepped, j - i)
-                stepped, i = [], j
+                runs.append((full, j - i))
+                i = j
             else:
                 valid = (valid << 1 | (stream[i] is not None)) & full
-                stepped.append(valid)
+                runs.append((valid, 1))
                 i += 1
-        spans.append(stepped)
-        # one occupancy tuple and ops dict per valid-bit pattern in the block
-        ops, occupancy = {}, {}
-        for bits in {full, *chain.from_iterable(spans[::2])}:
-            busy = occupancy[bits] = tuple(bits >> k & 1 == 1 for k in range(self.latency))
-            fired = [stage for stage, on in zip(self.plan.stages, busy) if on]
-            ops[bits] = dict(zip(OPS, map(sum, zip((0, 0, 0), *fired))))
-
-        def column(of):
-            return chain.from_iterable(
-                repeat(of[full], span) if k % 2 else map(of.__getitem__, span)
-                for k, span in enumerate(spans)
-            )
-
-        start = self._cycle + 1
-        self._cycle += count
-        reports = list(map(
-            CycleReport, range(start, start + count), ticks, emitted,
-            column(ops), column(occupancy),
-        ))
+        trace = CycleTrace(self._cycle + 1, ticks, emitted, runs, self.plan)
+        self._cycle += len(ticks)
         if error is not None:
             raise error
-        return emitted, reports
+        return emitted, trace
 
 
 def build_pipeline(config: FilterConfig, architecture: str = "tree") -> SystolicPipeline:
@@ -217,11 +343,12 @@ def build_pipeline(config: FilterConfig, architecture: str = "tree") -> Systolic
     return SystolicPipeline(config, architecture)
 
 
-def run_pipeline(model, samples) -> tuple[list[int], list[CycleReport]]:
+def run_pipeline(model, samples) -> tuple[list[int], CycleTrace]:
     """Clock ``samples`` as one block (None is an idle tick), then idle ticks
-    until every output has emerged.  Returns (outputs, per-cycle reports)."""
-    emitted, reports = model.clock(samples)
-    drained, drain_reports = model.clock([None] * model.pending)
+    until every output has emerged.  Returns (outputs, the trace of every
+    tick, the drain included)."""
+    emitted, trace = model.clock(samples)
+    drained, drain = model.clock([None] * model.pending)
     outputs = [y for y in chain(emitted, drained) if y is not None]
-    reports.extend(drain_reports)
-    return outputs, reports
+    trace.extend(drain)
+    return outputs, trace

@@ -624,7 +624,7 @@ def _run_csv(rows):
 
 
 @pytest.mark.parametrize(
-    "rows", [0, 1, 999, 1000, 1001, 2000, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1]
+    "rows", [0, 1, 999, 1000, 1001, 2000, 8192, 8193]
 )
 def test_the_run_csv_across_block_edges(rows):
     got, want = _run_csv(rows)
@@ -637,7 +637,7 @@ def test_the_run_csv_index_grows_to_seven_digits():
 
 
 def test_a_step_csv_past_one_block(tmp_path):
-    length = cli.BLOCK_ROWS + 1
+    length = 8193
     path = tmp_path / "step.csv"
     argv = ["step", "--seed", "0x3a", "--length", str(length), "-o", str(path),
             "--summary", os.devnull]

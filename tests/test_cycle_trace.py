@@ -1,0 +1,159 @@
+"""The columnar cycle trace and the cycle CSV written from it.
+
+``SystolicPipeline.clock`` returns a ``CycleTrace``: input and output
+columns plus occupancy runs.  Its CSV is formatted a run at a time and must
+equal rows formatted tick by tick from the frozen reference models, block
+splits, idle ticks and thousand-row edges included.  Per-tick views read
+through to the columns, and a view's ``emitted_output`` writes through, as
+the benchmark gate's corruption check relies on.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gdswu.cli
+from gdswu import systolic
+from gdswu.core import make_config
+from gdswu.csv_rows import numbered_rows
+from gdswu.systolic import ARCHITECTURES, build_pipeline, cycle_csv_lines, run_pipeline
+from reference_systolic import build_reference
+from strategies import configs
+from test_systolic import fields, gappy_streams
+
+
+def reference_rows(reports) -> str:
+    """Cycle-CSV rows formatted one per-tick report at a time."""
+    return "".join(
+        f"{r.cycle},{'' if r.consumed_input is None else r.consumed_input},"
+        f"{'' if r.emitted_output is None else r.emitted_output},"
+        f"{r.ops['multiply']},{r.ops['add']},{r.ops['normalize']}\n"
+        for r in reports
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_cycle_csv_of_any_block_split_matches_the_reference_rows(data):
+    config = data.draw(configs())
+    architecture = data.draw(st.sampled_from(ARCHITECTURES))
+    model = build_pipeline(config, architecture)
+    reference = build_reference(config, architecture)
+    blocks = data.draw(st.lists(gappy_streams(config, max_size=40), max_size=5))
+    for block in [*blocks, [None] * (model.latency + 1)]:
+        _, trace = model.clock(block)
+        want = [reference.tick(sample)[1] for sample in block]
+        assert cycle_csv_lines(trace) == reference_rows(want)
+
+
+@pytest.mark.parametrize("idle", [(990, 998, 1003, 1999), range(0, 2100, 3)],
+                         ids=["busy", "gappy"])
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("taps", [1, 5, 64])
+def test_the_cycle_csv_across_thousand_row_edges(architecture, taps, idle):
+    # busy runs that start, end or break on either side of cycles 999,
+    # 1,000 and 2,000, or stepped ticks over them, in a second block that
+    # starts mid-thousand
+    config = make_config(taps=taps)
+    stream = [(7 * i) % 128 for i in range(2100)]
+    for i in idle:
+        stream[i] = None
+    model = build_pipeline(config, architecture)
+    reference = build_reference(config, architecture)
+    for block in (stream[:37], stream[37:], [None] * model.pending):
+        _, trace = model.clock(block)
+        want = [reference.tick(sample)[1] for sample in block]
+        assert cycle_csv_lines(trace) == reference_rows(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=st.integers(0, 3000), rows=st.integers(0, 2100),
+       end=st.sampled_from(["\n", ",64,63,1\n"]))
+def test_numbered_rows_match_rows_formatted_one_at_a_time(first, rows, end):
+    pairs = [(i % 128, (i * i) % 1000) for i in range(rows)]
+    want = "".join(f"{first + i},{x},{y}{end}" for i, (x, y) in enumerate(pairs))
+    assert "".join(numbered_rows(first, pairs, end)) == want
+
+
+def _bump_last_output(trace):
+    view = next(r for r in reversed(trace) if r.emitted_output is not None)
+    view.emitted_output += 1
+    return view
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_a_bump_through_reversed_writes_through_to_the_csv(architecture):
+    stream = [5, 120, 7, 0, 127, 33, 64, 9]
+    outputs, trace = run_pipeline(build_pipeline(make_config(taps=4), architecture), stream)
+    before = cycle_csv_lines(trace).splitlines()
+    view = _bump_last_output(trace)
+    assert trace.outputs[-1] == view.emitted_output == outputs[-1] + 1
+    # the drain stops on the tick that emits the last output
+    row = before[-1].split(",")
+    row[2] = str(outputs[-1] + 1)
+    assert cycle_csv_lines(trace).splitlines() == before[:-1] + [",".join(row)]
+
+
+def test_a_bump_made_on_the_returned_trace_reaches_the_cli_cycle_csv(tmp_path):
+    path, cycles = tmp_path / "in.csv", tmp_path / "cycles.csv"
+    path.write_text("".join(f"{x}\n" for x in range(0, 128, 9)), encoding="utf-8")
+    original = gdswu.cli.run_pipeline
+
+    def bump(model, samples):
+        outputs, trace = original(model, samples)
+        _bump_last_output(trace)
+        return outputs, trace
+
+    argv = ["simulate", str(path), "--taps", "5", "-o", str(cycles),
+            "--summary", str(tmp_path / "summary.json")]
+    with mock.patch.object(gdswu.cli, "run_pipeline", bump):
+        assert gdswu.cli.main(argv) == 0
+    outputs, _ = run_pipeline(build_pipeline(make_config(taps=5), "tree"), list(range(0, 128, 9)))
+    last = cycles.read_text(encoding="utf-8").splitlines()[-1].split(",")
+    assert int(last[2]) == outputs[-1] + 1
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_len_and_indexing_from_either_end(architecture):
+    stream = [3, None, 127, 0, 64, None, None, 5, 9]
+    model = build_pipeline(make_config(taps=3), architecture)
+    _, trace = run_pipeline(model, stream)
+    views = list(trace)
+    assert len(trace) == len(views) == len(stream) + model.latency - 1
+    assert list(map(fields, reversed(trace))) == list(map(fields, reversed(views)))
+    for i in range(-len(trace), len(trace)):
+        assert fields(trace[i]) == fields(views[i])
+    for i in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_a_drain_extends_the_block_it_follows(architecture):
+    config = make_config(taps=4)
+    model = build_pipeline(config, architecture)
+    reference = build_reference(config, architecture)
+    block = [8, None, 100, 3]
+    emitted, trace = model.clock(block)
+    drained, drain = model.clock([None] * model.pending)
+    trace.extend(drain)
+    want = [reference.tick(sample) for sample in block + [None] * len(drained)]
+    assert len(trace) == len(want)
+    assert trace.outputs == emitted + drained == [output for output, _ in want]
+    assert list(map(fields, trace)) == [fields(report) for _, report in want]
+    assert cycle_csv_lines(trace) == reference_rows(report for _, report in want)
+
+
+def test_simulate_builds_no_per_tick_view(tmp_path):
+    path, cycles = tmp_path / "in.csv", tmp_path / "cycles.csv"
+    path.write_text("".join(f"{(5 * x) % 128}\n" for x in range(3000)), encoding="utf-8")
+    for architecture in ARCHITECTURES:
+        argv = ["simulate", str(path), "--taps", "16", "--architecture", architecture,
+                "-o", str(cycles), "--summary", str(tmp_path / "summary.json")]
+        with mock.patch.object(systolic.CycleReport, "__init__",
+                               side_effect=AssertionError("a per-tick view was built")):
+            assert gdswu.cli.main(argv) == 0
+        rows = cycles.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 1 + 3000 + build_pipeline(make_config(taps=16), architecture).latency - 1
