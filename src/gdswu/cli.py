@@ -35,7 +35,6 @@ from .fixed_point import ROUNDING_MODES
 from .systolic import (
     ARCHITECTURES,
     CYCLE_CSV_HEADER,
-    OPS,
     build_pipeline,
     cycle_csv_blocks,
     run_pipeline,
@@ -325,11 +324,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     with _open_out(ns.output) as fh:
         fh.write(",".join(CYCLE_CSV_HEADER) + "\n")
         fh.writelines(cycle_csv_blocks(trace))
-    # Ops are those of the first cycle with every stage busy; a stream
-    # shorter than the pipeline never fills it, so it has none to report.
-    full = model.plan.full
-    filled = any(bits == full for bits, _ in trace.runs)
-    ops = dict(zip(OPS, model.plan.ops(full))) if filled else None
+    ops = trace.steady_ops()
     total = None if ops is None else sum(ops.values())
     footer = {
         "taps": config.taps,

@@ -19,10 +19,11 @@ from .fixed_point import MAX_BITS, QFormat, RoundingMode, round_scaled
 # Shapes above this would still be exact in Python but land outside any
 # sensible window parameterization; reject instead of approximating.
 MAX_SHAPE = 20
-# A chain simulation keeps one occupancy tuple per fill and drain tick, so
-# its cost grows with the square of the window: a one-row input takes about
-# 3.7 s and 150 MB at this many taps on a 2-vCPU Xeon.  Longer windows are
-# refused before any density is built.
+# A chain simulation keeps one valid-bit pattern, as wide as the pipeline,
+# per fill and drain tick, so its cost grows with the square of the window.
+# A one-row input takes about 0.17 s and 18 MB, process included, at this
+# many taps, and 5.7 s and 312 MB at 65,536 (2-vCPU Xeon, Python 3.11).
+# Longer windows are refused before any density is built.
 MAX_TAPS = 4096
 
 

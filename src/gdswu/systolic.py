@@ -40,7 +40,8 @@ latency steps, and a steady stretch is a single run: the change-only idea
 of a value change dump (IEEE Std 1364-2005, clause 18).  A pattern's ops
 are counted by popcount: the plan keeps one bit mask per distinct stage
 op triple.  The cycle CSV is formatted a run at a time; per-tick
-``CycleReport`` views exist for tests and checks only.
+``CycleReport`` views exist for tests and checks only, and the views of
+one pattern share its occupancy tuple.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
@@ -61,7 +62,6 @@ every idle tick before it.
 
 from __future__ import annotations
 
-import operator
 from itertools import chain, count, groupby, islice, repeat
 from typing import Iterator, NamedTuple
 
@@ -120,10 +120,11 @@ def _stage_plan(taps: int, architecture: str) -> StagePlan:
 
 
 class _PerPattern(dict):
-    """``make(key)`` for each key, made on its first lookup."""
+    """``make(key)`` for each key, made on its first lookup.  Not
+    ``functools.cache``: its wrappers add young GC objects, enough to set off
+    a collection that walks a 64-tap ``simulate``'s long lists (about 2 ms)."""
 
     def __init__(self, make):
-        super().__init__()
         self._make = make
 
     def __missing__(self, key):
@@ -140,9 +141,9 @@ class CycleTrace:
     k holds a sample; neighbouring runs may share a pattern.  ``plan``
     turns a pattern into ops.
 
-    ``len``, iteration, ``reversed`` and ``trace[i]`` give one
-    ``CycleReport`` view per tick, for tests and checks; the writers read
-    the columns and runs.
+    ``len``, iteration and ``reversed`` give one ``CycleReport`` view per
+    tick, for tests and checks, and the views of one pattern share one
+    occupancy tuple.  The writers read the columns and runs.
     """
 
     __slots__ = ("first_cycle", "inputs", "outputs", "runs", "plan", "_occupancy", "_ops")
@@ -177,26 +178,27 @@ class CycleTrace:
                 yield CycleReport(self, t, bits)
             tick -= length
 
-    def __getitem__(self, index: int) -> CycleReport:
-        tick = range(len(self))[operator.index(index)]
-        return next(islice(self, tick, None))
-
     def extend(self, later: CycleTrace) -> None:
-        """Append the ticks of the block clocked right after this one.
+        """Append the ticks of the block clocked right after this one."""
+        self.inputs += later.inputs
+        self.outputs += later.outputs
+        self.runs += later.runs
 
-        The columns become new lists, so the output list that ``clock``
-        returned with this trace keeps its length."""
-        self.inputs = self.inputs + later.inputs
-        self.outputs = self.outputs + later.outputs
-        self.runs = self.runs + later.runs
+    def steady_ops(self) -> dict[str, int] | None:
+        """The ops of a tick with every stage busy; None if no tick had every
+        stage busy, as in a stream shorter than the pipeline."""
+        full = self.plan.full
+        if any(bits == full for bits, _ in self.runs):
+            return dict(zip(OPS, self._ops[full]))
+        return None
 
 
 class CycleReport:
     """One tick of a ``CycleTrace``, read through to its columns.
 
     ``stage_occupancy[k]`` is True when the tick k cycles before consumed a
-    sample; the views of one pattern share that tuple, so treat it as
-    read-only.  Setting ``emitted_output`` writes the trace's output column.
+    sample; the views of one pattern share that tuple.  Setting
+    ``emitted_output`` writes the trace's output column.
     """
 
     __slots__ = ("_trace", "_tick", "_bits")
@@ -269,11 +271,6 @@ def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
         tick = stop
 
 
-def cycle_csv_lines(trace: CycleTrace) -> str:
-    """The cycle-CSV rows of ``trace``, each ending in ``\\n``."""
-    return "".join(cycle_csv_blocks(trace))
-
-
 class SystolicPipeline:
     """One architecture's stage plan, clocked over the filter's outputs."""
 
@@ -291,12 +288,12 @@ class SystolicPipeline:
         # 1 + the index of the newest output in flight, 0 when there is none
         return max((k + 1 for k, y in enumerate(self._in_flight) if y is not None), default=0)
 
-    def clock(self, samples) -> tuple[list[int | None], CycleTrace]:
+    def clock(self, samples) -> CycleTrace:
         """One tick per item of ``samples``, None being an idle tick.
 
-        Returns each tick's output (None when it emitted none), which is the
-        trace's output column, and the trace.  At a bad sample the ticks
-        before it are clocked, then the error of ``check_sample`` is raised.
+        Returns the trace of the ticks; its output column holds each tick's
+        output, None when it emitted none.  At a bad sample the ticks before
+        it are clocked, then the error of ``check_sample`` is raised.
         """
         # a list is only read, so it is not copied: a copy adds to the peak memory
         values = samples if isinstance(samples, list) else list(samples)
@@ -335,7 +332,7 @@ class SystolicPipeline:
         self._cycle += len(ticks)
         if error is not None:
             raise error
-        return emitted, trace
+        return trace
 
 
 def build_pipeline(config: FilterConfig, architecture: str = "tree") -> SystolicPipeline:
@@ -347,8 +344,6 @@ def run_pipeline(model, samples) -> tuple[list[int], CycleTrace]:
     """Clock ``samples`` as one block (None is an idle tick), then idle ticks
     until every output has emerged.  Returns (outputs, the trace of every
     tick, the drain included)."""
-    emitted, trace = model.clock(samples)
-    drained, drain = model.clock([None] * model.pending)
-    outputs = [y for y in chain(emitted, drained) if y is not None]
-    trace.extend(drain)
-    return outputs, trace
+    trace = model.clock(samples)
+    trace.extend(model.clock([None] * model.pending))
+    return [y for y in trace.outputs if y is not None], trace

@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from gdswu.core import FilterConfig, _normalize, check_sample
+from gdswu.systolic import cycle_csv_blocks
 
 
 def tree_depth(taps: int) -> int:
@@ -137,6 +138,11 @@ class ChainPipeline:
         self._accs = new_accs
         occupancy = (*(a is not None for a in self._accs), output is not None)
         return output, CycleReport(self._cycle, sample, output, ops, occupancy)
+
+
+def cycle_csv_lines(trace) -> str:
+    """The cycle-CSV rows of a package ``CycleTrace``, each ending in ``\\n``."""
+    return "".join(cycle_csv_blocks(trace))
 
 
 def build_reference(config: FilterConfig, architecture: str):

@@ -5,7 +5,8 @@ columns plus occupancy runs.  Its CSV is formatted a run at a time and must
 equal rows formatted tick by tick from the frozen reference models, block
 splits, idle ticks and thousand-row edges included.  Per-tick views read
 through to the columns, and a view's ``emitted_output`` writes through, as
-the benchmark gate's corruption check relies on.
+the benchmark gate's corruption check relies on.  The views of one pattern
+share one occupancy tuple, which keeps the gate's memory flat.
 """
 
 from unittest import mock
@@ -18,8 +19,8 @@ import gdswu.cli
 from gdswu import systolic
 from gdswu.core import make_config
 from gdswu.csv_rows import numbered_rows
-from gdswu.systolic import ARCHITECTURES, build_pipeline, cycle_csv_lines, run_pipeline
-from reference_systolic import build_reference
+from gdswu.systolic import ARCHITECTURES, OPS, CycleTrace, build_pipeline, run_pipeline
+from reference_systolic import build_reference, cycle_csv_lines, run_reference
 from strategies import configs
 from test_systolic import fields, gappy_streams
 
@@ -43,7 +44,7 @@ def test_the_cycle_csv_of_any_block_split_matches_the_reference_rows(data):
     reference = build_reference(config, architecture)
     blocks = data.draw(st.lists(gappy_streams(config, max_size=40), max_size=5))
     for block in [*blocks, [None] * (model.latency + 1)]:
-        _, trace = model.clock(block)
+        trace = model.clock(block)
         want = [reference.tick(sample)[1] for sample in block]
         assert cycle_csv_lines(trace) == reference_rows(want)
 
@@ -63,7 +64,7 @@ def test_the_cycle_csv_across_thousand_row_edges(architecture, taps, idle):
     model = build_pipeline(config, architecture)
     reference = build_reference(config, architecture)
     for block in (stream[:37], stream[37:], [None] * model.pending):
-        _, trace = model.clock(block)
+        trace = model.clock(block)
         want = [reference.tick(sample)[1] for sample in block]
         assert cycle_csv_lines(trace) == reference_rows(want)
 
@@ -116,18 +117,13 @@ def test_a_bump_made_on_the_returned_trace_reaches_the_cli_cycle_csv(tmp_path):
 
 
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
-def test_len_and_indexing_from_either_end(architecture):
+def test_len_and_iteration_from_either_end(architecture):
     stream = [3, None, 127, 0, 64, None, None, 5, 9]
     model = build_pipeline(make_config(taps=3), architecture)
     _, trace = run_pipeline(model, stream)
     views = list(trace)
     assert len(trace) == len(views) == len(stream) + model.latency - 1
     assert list(map(fields, reversed(trace))) == list(map(fields, reversed(views)))
-    for i in range(-len(trace), len(trace)):
-        assert fields(trace[i]) == fields(views[i])
-    for i in (len(trace), -len(trace) - 1):
-        with pytest.raises(IndexError):
-            trace[i]
 
 
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
@@ -136,14 +132,65 @@ def test_a_drain_extends_the_block_it_follows(architecture):
     model = build_pipeline(config, architecture)
     reference = build_reference(config, architecture)
     block = [8, None, 100, 3]
-    emitted, trace = model.clock(block)
-    drained, drain = model.clock([None] * model.pending)
+    trace = model.clock(block)
+    emitted = list(trace.outputs)
+    drain = model.clock([None] * model.pending)
+    drained = drain.outputs
     trace.extend(drain)
     want = [reference.tick(sample) for sample in block + [None] * len(drained)]
     assert len(trace) == len(want)
     assert trace.outputs == emitted + drained == [output for output, _ in want]
     assert list(map(fields, trace)) == [fields(report) for _, report in want]
     assert cycle_csv_lines(trace) == reference_rows(report for _, report in want)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_clock_returns_a_trace_that_extend_grows_in_place(architecture):
+    config = make_config(taps=5)
+    model = build_pipeline(config, architecture)
+    reference = build_reference(config, architecture)
+    blocks = [[8, None, 100], [], [3] * 12 + [None, 7], [None] * 9]
+    trace = model.clock(blocks[0])
+    inputs, outputs, runs = trace.inputs, trace.outputs, trace.runs
+    for block in blocks[1:]:
+        later = model.clock(block)
+        assert type(later) is CycleTrace
+        trace.extend(later)
+    assert trace.inputs is inputs and trace.outputs is outputs and trace.runs is runs
+    want = [reference.tick(sample) for block in blocks for sample in block]
+    assert trace.outputs == [output for output, _ in want]
+    assert list(map(fields, trace)) == [fields(report) for _, report in want]
+    assert cycle_csv_lines(trace) == reference_rows(report for _, report in want)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("taps", [1, 2, 5, 64])
+def test_steady_ops_are_the_plan_ops_once_every_stage_is_busy(taps, architecture):
+    config = make_config(taps=taps)
+    latency = build_pipeline(config, architecture).latency
+    for length in (0, 1, latency - 1, latency, latency + 1, 3 * latency):
+        model = build_pipeline(config, architecture)
+        stream = [(5 * i) % 128 for i in range(length)]
+        _, trace = run_pipeline(model, stream)
+        want = next((r.ops for r in run_reference(build_reference(config, architecture), stream)[1]
+                     if all(r.stage_occupancy)), None)
+        if length < latency:
+            assert trace.steady_ops() is want is None
+        else:
+            assert trace.steady_ops() == want == dict(zip(OPS, model.plan.ops(model.plan.full)))
+            assert want == {"multiply": taps, "add": taps - 1, "normalize": 1}
+
+
+@pytest.mark.parametrize("idle", [(), (1, 2)], ids=["gapless", "half-idle"])
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_the_views_of_one_pattern_share_one_occupancy_tuple(architecture, idle):
+    # the simulate-wide gate holds every view's occupancy at once
+    stream = [None if i % 4 in idle else (7 * i) % 128 for i in range(2000)]
+    _, trace = run_pipeline(build_pipeline(make_config(taps=64), architecture), stream)
+    occupancies = [view.stage_occupancy for view in trace]  # all alive, so no id is reused
+    patterns = set(occupancies)
+    assert len(patterns) < len(occupancies)
+    assert len(set(map(id, occupancies))) == len(patterns)
 
 
 def test_simulate_builds_no_per_tick_view(tmp_path):

@@ -8,6 +8,8 @@ show up only in the benchmark.
 
 import importlib.util
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -16,11 +18,11 @@ import gdswu
 import gdswu.cli
 import gdswu.core
 import gdswu.faults
-from gdswu.systolic import ARCHITECTURES, CYCLE_CSV_HEADER, build_pipeline, cycle_csv_lines
+from gdswu.systolic import ARCHITECTURES, CYCLE_CSV_HEADER, build_pipeline
+from reference_systolic import cycle_csv_lines
 
-TRACING = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def _tracing():
@@ -47,6 +49,15 @@ def test_a_pipeline_names_its_architecture(architecture):
 def test_the_top_level_names_the_workloads_use_resolve():
     for name in ("make_config", "build_pipeline", "FaultSpec", "MODE_NORMALIZED"):
         assert hasattr(gdswu, name), name
+
+
+def test_importing_the_package_loads_neither_the_oracle_nor_the_cli():
+    # The setup_s probe runs "import gdswu" with PYTHONDONTWRITEBYTECODE=1,
+    # so it compiles every module that import pulls in from source.
+    code = ("import gdswu, sys; loaded = {'gdswu.oracle', 'gdswu.cli'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_the_config_and_weight_attributes_the_workloads_read_resolve():

@@ -31,7 +31,8 @@ def bad_samples(config):
 
 
 def clock_and_compare(model, reference, ticks):
-    outputs, reports = model.clock(ticks)
+    reports = model.clock(ticks)
+    outputs = reports.outputs
     want = [reference.tick(sample) for sample in ticks]
     assert outputs == [output for output, _ in want]
     assert list(map(fields, reports)) == [fields(report) for _, report in want]
