@@ -3,9 +3,10 @@
 All data outputs are deterministic: CSV with LF line endings, JSON with a
 stable key order, no timestamps.  Seeds and magnitudes accept 0x-prefixed
 hex; CSV values are always decimal.  Exit codes: 0 success, 1 data error
-(unreadable input, malformed or out-of-range input row, or a reader that
-closed stdout early), 2 usage or domain error (an unreadable config file
-and an output that cannot be opened or written included).
+(unreadable input, malformed or out-of-range input row, a reader that
+closed stdout early, or running out of memory), 2 usage or domain error
+(an unreadable config file and an output that cannot be opened or written
+included).
 """
 
 from __future__ import annotations
@@ -284,12 +285,13 @@ def _settle_index(outputs: list[int]) -> int:
 def cmd_step(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
     _check_level("--seed", ns.seed, config)
+    length = max(32, config.taps) if ns.length is None else ns.length
     # the window is full from the taps-th sample on, so later outputs repeat
-    outputs = step_response(config, ns.seed, min(ns.length, config.taps))
+    outputs = step_response(config, ns.seed, min(length, config.taps))
     steady = outputs[-1]
     pairs = zip(repeat(ns.seed), chain(outputs, repeat(steady)))
     # a range bounds the rows: repeat(x, n) and islice(it, n) refuse n > sys.maxsize
-    rows = map(itemgetter(1), zip(range(ns.length), pairs))
+    rows = map(itemgetter(1), zip(range(length), pairs))
     with _open_out(ns.output) as fh:
         _write_run_csv(fh, rows)
     summary = {
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("step", help="constant-seed step response plus summary")
     _add_config_flags(p)
     p.add_argument("--seed", type=parse_int_literal, default=0x7F, help="step level (hex ok, default 0x7F)")
-    p.add_argument("--length", type=int, default=32, help="number of samples (default 32)")
+    p.add_argument("--length", type=int, help="number of samples (default the larger of 32 and taps)")
     p.add_argument("-o", "--output", default="-", metavar="PATH", help="waveform CSV (default stdout)")
     p.add_argument("--summary", default="-", metavar="PATH", help="summary JSON (default stdout)")
     p.set_defaults(func=cmd_step)
@@ -410,11 +412,11 @@ def main(argv=None) -> int:
         # The reader closed stdout early (as `| head` does).
         _stdout_to_devnull()
         return 1
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, MemoryError) as exc:
         # a failed write of the error line must not change the exit code
         with suppress(OSError):
-            print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, DataError) else 2
+            print("error:", "out of memory" if isinstance(exc, MemoryError) else exc, file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -9,12 +9,13 @@ operands that is at most 80 bits, so no intermediate rounding ever occurs).
 Saturation exists only in the raw-accumulate output step, never inside a sum.
 
 The filter stays exact in one way: a width proven not to overflow.  Its
-one kernel (``core.GammaWindowFilter.run``) packs samples and weights into
-fields of F bytes of one Python int and multiplies once, so each product
-field is a whole sum.  With samples in 0..max_raw and non-negative weights
-summing to raw_sum, no sum exceeds ``max_raw * raw_sum``; F is chosen with
-that bound below 2**(8F), so no field carries into its neighbour and every
-sum is read back exactly.
+one kernel (``core.GammaWindowFilter._run_block``, which ``run`` and the
+pipeline models share) packs samples and weights into fields of F bytes of
+one Python int and multiplies once, so each product field is a whole sum.
+With samples in 0..max_raw and non-negative weights summing to raw_sum, no
+sum exceeds ``max_raw * raw_sum``; F is chosen with that bound below
+2**(8F), so no field carries into its neighbour and every sum is read back
+exactly.
 The bound is computed per configuration, so it holds for every QFormat,
 64-bit samples included.  ``mac_exact`` is a plain Python-int
 multiply-accumulate that the filter does not call; it is kept only for

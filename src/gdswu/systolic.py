@@ -37,11 +37,12 @@ stage is busy it holds up to the next idle output, so such a run is one
 step, found by an index search; only ticks whose window holds an idle
 output are stepped one by one, a run each.  A gapless block costs about
 latency steps, and a steady stretch is a single run: the change-only idea
-of a value change dump (IEEE Std 1364-2005, clause 18).  A pattern's ops
-are counted by popcount: the plan keeps one bit mask per distinct stage
-op triple.  The cycle CSV is formatted a run at a time; per-tick
-``CycleReport`` views exist for tests and checks only, and the views of
-one pattern share its occupancy tuple.
+of a value change dump (IEEE Std 1364-2005, clause 18).  The facts of a
+pattern are the stage plan's, made once per pipeline on first use: its
+ops, counted by popcount over one bit mask per distinct stage op triple,
+and its occupancy tuple.  The cycle CSV is formatted a run at a time and
+reads only the ops.  Per-tick ``CycleReport`` views, for tests and checks
+only, carry four fields, and the views of one pattern share its tuple.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
@@ -63,7 +64,7 @@ every idle tick before it.
 from __future__ import annotations
 
 from itertools import chain, count, groupby, islice, repeat
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .core import FilterConfig, GammaWindowFilter, check_samples
 from .csv_rows import numbered_rows
@@ -72,20 +73,48 @@ ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
 OPS: tuple[str, ...] = ("multiply", "add", "normalize")
 
 
-class StagePlan(NamedTuple):
-    """An architecture's stages, each the (multiply, add, normalize) ops it
-    fires while busy; the stage count is the latency.  ``groups`` holds
-    (mask, multiply, add, normalize) for each distinct triple, bit k of the
-    mask set when stage k fires it."""
+class StagePlan(dict):
+    """An architecture's stages, and the facts of each valid-bit pattern.
 
-    architecture: str
-    stages: tuple[tuple[int, int, int], ...]
-    groups: tuple[tuple[int, int, int, int], ...]
+    As a dict it maps a pattern to the (multiply, add, normalize) ops of its
+    busy stages, made on first lookup.  Not ``functools.cache``: its wrappers
+    add young GC objects, enough to set off a collection that walks a 64-tap
+    ``simulate``'s long lists (about 2 ms).  ``occupancy`` maps a pattern to
+    its stage occupancy tuple; only the per-tick views fill it.  ``groups``
+    holds (mask, multiply, add, normalize) for each distinct stage triple,
+    bit k of the mask set when stage k fires it; ``latency`` is the stage
+    count.
+    """
 
-    @property
-    def full(self) -> int:
-        """The valid-bit pattern with every stage busy."""
-        return (1 << len(self.stages)) - 1
+    __slots__ = ("architecture", "latency", "full", "groups", "occupancy")
+
+    def __init__(self, taps: int, architecture: str):
+        if architecture not in ARCHITECTURES:
+            raise ValueError(
+                f"unknown architecture {architecture!r}, expected one of {ARCHITECTURES}"
+            )
+        if architecture == "chain":
+            stages = [(1, 0, 0), *[(1, 1, 0)] * (taps - 1)]
+        else:
+            stages = [(taps, 0, 0)]
+            width = taps
+            # adder levels; a 1-tap tree still occupies one pass-through level
+            for _ in range(max(1, (taps - 1).bit_length())):
+                stages.append((0, width // 2, 0))
+                width -= width // 2
+        stages.append((0, 0, 1))
+        masks: dict[tuple[int, int, int], int] = {}
+        for k, stage in enumerate(stages):
+            masks[stage] = masks.get(stage, 0) | 1 << k
+        self.architecture = architecture
+        self.latency = len(stages)
+        self.full = (1 << self.latency) - 1  # the pattern with every stage busy
+        self.groups = tuple((m, *s) for s, m in masks.items())
+        self.occupancy: dict[int, tuple[bool, ...]] = {}
+
+    def __missing__(self, bits: int) -> tuple[int, int, int]:
+        self[bits] = ops = self.ops(bits)
+        return ops
 
     def ops(self, bits: int) -> tuple[int, int, int]:
         """The (multiply, add, normalize) ops of the stages busy in ``bits``."""
@@ -98,55 +127,20 @@ class StagePlan(NamedTuple):
         return multiply, add, normalize
 
 
-def _stage_plan(taps: int, architecture: str) -> StagePlan:
-    if architecture not in ARCHITECTURES:
-        raise ValueError(
-            f"unknown architecture {architecture!r}, expected one of {ARCHITECTURES}"
-        )
-    if architecture == "chain":
-        stages = [(1, 0, 0), *[(1, 1, 0)] * (taps - 1)]
-    else:
-        stages = [(taps, 0, 0)]
-        width = taps
-        # adder levels; a 1-tap tree still occupies one pass-through level
-        for _ in range(max(1, (taps - 1).bit_length())):
-            stages.append((0, width // 2, 0))
-            width -= width // 2
-    stages.append((0, 0, 1))
-    masks: dict[tuple[int, int, int], int] = {}
-    for k, stage in enumerate(stages):
-        masks[stage] = masks.get(stage, 0) | 1 << k
-    return StagePlan(architecture, tuple(stages), tuple((m, *s) for s, m in masks.items()))
-
-
-class _PerPattern(dict):
-    """``make(key)`` for each key, made on its first lookup.  Not
-    ``functools.cache``: its wrappers add young GC objects, enough to set off
-    a collection that walks a 64-tap ``simulate``'s long lists (about 2 ms)."""
-
-    def __init__(self, make):
-        self._make = make
-
-    def __missing__(self, key):
-        self[key] = self._make(key)
-        return self[key]
-
-
 class CycleTrace:
     """What a run of ticks did, by columns.
 
     Tick ``t`` is cycle ``first_cycle + t``; it consumed ``inputs[t]`` and
     emitted ``outputs[t]``, None when idle.  ``runs`` covers the ticks in
     order with (valid-bit pattern, tick count) pairs, bit k set when stage
-    k holds a sample; neighbouring runs may share a pattern.  ``plan``
-    turns a pattern into ops.
+    k holds a sample; neighbouring runs may share a pattern.  ``plan``, the
+    pipeline's, turns a pattern into ops.
 
     ``len``, iteration and ``reversed`` give one ``CycleReport`` view per
-    tick, for tests and checks, and the views of one pattern share one
-    occupancy tuple.  The writers read the columns and runs.
+    tick, for tests and checks.  The writers read the columns and runs.
     """
 
-    __slots__ = ("first_cycle", "inputs", "outputs", "runs", "plan", "_occupancy", "_ops")
+    __slots__ = ("first_cycle", "inputs", "outputs", "runs", "plan")
 
     def __init__(self, first_cycle: int, inputs: list[int | None],
                  outputs: list[int | None], runs: list[tuple[int, int]], plan: StagePlan):
@@ -155,28 +149,18 @@ class CycleTrace:
         self.outputs = outputs
         self.runs = runs
         self.plan = plan
-        # each pattern's ops triple and occupancy tuple, made on first use
-        self._ops = _PerPattern(plan.ops)
-        self._occupancy = _PerPattern(
-            lambda bits: tuple(bits >> k & 1 == 1 for k in range(len(plan.stages)))
-        )
 
     def __len__(self) -> int:
         return len(self.inputs)
 
     def __iter__(self) -> Iterator[CycleReport]:
-        tick = 0
+        ticks = count()
         for bits, length in self.runs:
-            for t in range(tick, tick + length):
+            for t in islice(ticks, length):
                 yield CycleReport(self, t, bits)
-            tick += length
 
     def __reversed__(self) -> Iterator[CycleReport]:
-        tick = len(self)
-        for bits, length in reversed(self.runs):
-            for t in range(tick - 1, tick - length - 1, -1):
-                yield CycleReport(self, t, bits)
-            tick -= length
+        return reversed(list(self))
 
     def extend(self, later: CycleTrace) -> None:
         """Append the ticks of the block clocked right after this one."""
@@ -187,17 +171,18 @@ class CycleTrace:
     def steady_ops(self) -> dict[str, int] | None:
         """The ops of a tick with every stage busy; None if no tick had every
         stage busy, as in a stream shorter than the pipeline."""
-        full = self.plan.full
-        if any(bits == full for bits, _ in self.runs):
-            return dict(zip(OPS, self._ops[full]))
+        if any(bits == self.plan.full for bits, _ in self.runs):
+            return dict(zip(OPS, self.plan[self.plan.full]))
         return None
 
 
 class CycleReport:
-    """One tick of a ``CycleTrace``, read through to its columns.
+    """One tick of a ``CycleTrace``, read through to its columns and plan.
 
-    ``stage_occupancy[k]`` is True when the tick k cycles before consumed a
-    sample; the views of one pattern share that tuple.  Setting
+    A view carries four fields: ``cycle``, ``emitted_output``,
+    ``stage_occupancy`` and ``total_ops``.  ``stage_occupancy[k]`` is True
+    when the tick k cycles before consumed a sample; the views of one
+    pattern share that tuple, kept in the plan's ``occupancy``.  Setting
     ``emitted_output`` writes the trace's output column.
     """
 
@@ -213,10 +198,6 @@ class CycleReport:
         return self._trace.first_cycle + self._tick
 
     @property
-    def consumed_input(self) -> int | None:
-        return self._trace.inputs[self._tick]
-
-    @property
     def emitted_output(self) -> int | None:
         return self._trace.outputs[self._tick]
 
@@ -225,16 +206,15 @@ class CycleReport:
         self._trace.outputs[self._tick] = value
 
     @property
-    def ops(self) -> dict[str, int]:
-        return dict(zip(OPS, self._trace._ops[self._bits]))
-
-    @property
     def stage_occupancy(self) -> tuple[bool, ...]:
-        return self._trace._occupancy[self._bits]
+        plan, bits = self._trace.plan, self._bits
+        if bits not in plan.occupancy:
+            plan.occupancy[bits] = tuple(bits >> k & 1 == 1 for k in range(plan.latency))
+        return plan.occupancy[bits]
 
     @property
     def total_ops(self) -> int:
-        return sum(self._trace._ops[self._bits])
+        return sum(self._trace.plan[self._bits])
 
 
 CYCLE_CSV_HEADER = ("cycle", "input", "output", "mult_ops", "add_ops", "other_ops")
@@ -250,17 +230,18 @@ def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
     """
     plan, inputs, outputs = trace.plan, trace.inputs, trace.outputs
     full = plan.full
-    texts = _PerPattern(",%d,%d,%d\n".__mod__)  # the ops columns of each ops triple
+    texts = {}  # the ops columns of each ops triple
     tick = 0
     for busy, group in groupby(trace.runs, lambda run: run[0] == full):
         patterns, lengths = zip(*group)
         stop = tick + sum(lengths)
         if busy:
             pairs = zip(inputs[tick:stop], outputs[tick:stop])
-            yield from numbered_rows(trace.first_cycle + tick, pairs, texts[trace._ops[full]])
+            yield from numbered_rows(trace.first_cycle + tick, pairs, ",%d,%d,%d\n" % plan[full])
         else:
-            columns = map(texts.__getitem__, map(trace._ops.__getitem__, patterns))
-            ends = chain.from_iterable(map(repeat, columns, lengths))
+            triples = list(map(plan.__getitem__, patterns))
+            texts.update((ops, ",%d,%d,%d\n" % ops) for ops in set(triples) - texts.keys())
+            ends = chain.from_iterable(map(repeat, map(texts.__getitem__, triples), lengths))
             for lo in range(tick, stop, 1000):
                 hi = min(lo + 1000, stop)
                 yield "".join([
@@ -275,8 +256,8 @@ class SystolicPipeline:
     """One architecture's stage plan, clocked over the filter's outputs."""
 
     def __init__(self, config: FilterConfig, architecture: str = "tree"):
-        self.plan = _stage_plan(config.taps, architecture)
-        self.latency = len(self.plan.stages)
+        self.plan = StagePlan(config.taps, architecture)
+        self.latency = self.plan.latency
         self._filter = GammaWindowFilter(config)
         # the outputs of the last latency - 1 ticks, oldest first; None when idle
         self._in_flight: list[int | None] = [None] * (self.latency - 1)

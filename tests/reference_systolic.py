@@ -3,8 +3,9 @@
 These are the original per-architecture models: every latch holds its
 partial sums, and each tick moves them one stage on.  The package's
 pipeline model must match them at the ports, field for field of every
-``CycleReport``, idle ticks included.  Do not change them to follow the
-package; they are the specification it is tested against.
+``CycleReport``, idle ticks included; ``expand_trace`` reads a package
+trace as such reports.  Do not change them to follow the package; they
+are the specification it is tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from gdswu.core import FilterConfig, _normalize, check_sample
-from gdswu.systolic import cycle_csv_blocks
+from gdswu.systolic import OPS, cycle_csv_blocks
 
 
 def tree_depth(taps: int) -> int:
@@ -143,6 +144,19 @@ class ChainPipeline:
 def cycle_csv_lines(trace) -> str:
     """The cycle-CSV rows of a package ``CycleTrace``, each ending in ``\\n``."""
     return "".join(cycle_csv_blocks(trace))
+
+
+def expand_trace(trace) -> list[CycleReport]:
+    """A package ``CycleTrace`` as one reference ``CycleReport`` per tick,
+    read off its columns and runs, with the ops of ``plan.ops``."""
+    reports: list[CycleReport] = []
+    for bits, length in trace.runs:
+        ops = dict(zip(OPS, trace.plan.ops(bits)))
+        occupancy = tuple(bits >> k & 1 == 1 for k in range(trace.plan.latency))
+        for t in range(len(reports), len(reports) + length):
+            reports.append(CycleReport(trace.first_cycle + t, trace.inputs[t],
+                                       trace.outputs[t], ops, occupancy))
+    return reports
 
 
 def build_reference(config: FilterConfig, architecture: str):

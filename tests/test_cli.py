@@ -7,6 +7,7 @@ traceback.
 
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -238,6 +239,23 @@ def test_a_huge_step_length_streams_to_a_failed_write(length):
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_running_out_of_memory_is_one_data_error_line(command):
+    # `run` over these 8,000,000 rows peaks at about 300 MB RSS; the
+    # child's address space is capped at 128 MB.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))\n"
+        "from gdswu.cli import main\n"
+        f"sys.exit(main(['{command}', '-']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=b"5\n" * 8_000_000, capture_output=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, b"", b"error: out of memory\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -525,6 +543,27 @@ def test_simulate_footer_of_a_stream_shorter_than_the_pipeline(capsys, csv_file,
     }
 
 
+def test_a_wide_simulate_stays_under_one_young_collection(tmp_path):
+    # A young collection while the 32,768-item input, output and stream
+    # lists are young walks every item: about 2 ms, 3-5 % of a 64-tap
+    # simulate.  The command's net GC-tracked allocations must stay under
+    # the generation-0 threshold that sets one off.
+    path = tmp_path / "in.csv"
+    rng = random.Random(1)
+    path.write_text("".join(f"{rng.randint(0, 127)}\n" for _ in range(32768)), encoding="utf-8")
+    argv = ["simulate", str(path), "--taps", "64", "-o", os.devnull, "--summary", os.devnull]
+    assert main(argv) == 0  # the first call fills the interpreter's own caches
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        assert main(argv) == 0
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert grown < gc.get_threshold()[0]
+
+
 INJECT_SPIKE = """\
 {
   "spec": {
@@ -690,6 +729,24 @@ def test_step_golden_csv_and_summary(capsys):
     code, out, err = run_cli(capsys, ["step", "--taps", "4", "--length", "6", "--seed", "0x64"])
     assert (code, err) == (0, "")
     assert out == STEP_TAPS_4
+
+
+@pytest.mark.parametrize("taps", [33, 64])
+def test_the_default_step_length_covers_a_window_over_32_taps(capsys, tmp_path, taps):
+    path = tmp_path / "step.csv"
+    code, out, err = run_cli(capsys, ["step", "--taps", str(taps), "-o", str(path)])
+    assert (code, err) == (0, "")
+    outputs = step_response(make_config(taps=taps), 0x7F, taps)
+    assert path.read_text(encoding="utf-8") == _f_string_rows([0x7F] * taps, outputs)
+    assert json.loads(out) == {
+        "mode": "normalized-average",
+        "seed": 0x7F,
+        "steady_value": outputs[-1],
+        "settle_index": cli._settle_index(outputs),
+        "hw_reported": "0x3a",
+        "observed": f"0x{outputs[-1]:02x}",
+        "match": False,
+    }
 
 
 def _settle_by_backward_scan(outputs):

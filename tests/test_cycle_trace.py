@@ -5,8 +5,11 @@ columns plus occupancy runs.  Its CSV is formatted a run at a time and must
 equal rows formatted tick by tick from the frozen reference models, block
 splits, idle ticks and thousand-row edges included.  Per-tick views read
 through to the columns, and a view's ``emitted_output`` writes through, as
-the benchmark gate's corruption check relies on.  The views of one pattern
-share one occupancy tuple, which keeps the gate's memory flat.
+the benchmark gate's corruption check relies on.  The per-pattern facts
+live on the pipeline's stage plan: the ops of each pattern, which the
+writer fills, and the occupancy tuples, which only the views fill.  The
+views of one pattern share one occupancy tuple, across the traces of one
+pipeline too, which keeps the gate's memory flat.
 """
 
 from unittest import mock
@@ -20,9 +23,9 @@ from gdswu import systolic
 from gdswu.core import make_config
 from gdswu.csv_rows import numbered_rows
 from gdswu.systolic import ARCHITECTURES, OPS, CycleTrace, build_pipeline, run_pipeline
-from reference_systolic import build_reference, cycle_csv_lines, run_reference
+from reference_systolic import build_reference, cycle_csv_lines, expand_trace, run_reference
 from strategies import configs
-from test_systolic import fields, gappy_streams
+from test_systolic import fields, gappy_streams, trace_fields, view_fields
 
 
 def reference_rows(reports) -> str:
@@ -123,7 +126,8 @@ def test_len_and_iteration_from_either_end(architecture):
     _, trace = run_pipeline(model, stream)
     views = list(trace)
     assert len(trace) == len(views) == len(stream) + model.latency - 1
-    assert list(map(fields, reversed(trace))) == list(map(fields, reversed(views)))
+    want = list(map(view_fields, reversed(expand_trace(trace))))
+    assert list(map(view_fields, reversed(trace))) == list(map(view_fields, reversed(views))) == want
 
 
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
@@ -140,7 +144,7 @@ def test_a_drain_extends_the_block_it_follows(architecture):
     want = [reference.tick(sample) for sample in block + [None] * len(drained)]
     assert len(trace) == len(want)
     assert trace.outputs == emitted + drained == [output for output, _ in want]
-    assert list(map(fields, trace)) == [fields(report) for _, report in want]
+    assert trace_fields(trace) == [fields(report) for _, report in want]
     assert cycle_csv_lines(trace) == reference_rows(report for _, report in want)
 
 
@@ -159,7 +163,7 @@ def test_clock_returns_a_trace_that_extend_grows_in_place(architecture):
     assert trace.inputs is inputs and trace.outputs is outputs and trace.runs is runs
     want = [reference.tick(sample) for block in blocks for sample in block]
     assert trace.outputs == [output for output, _ in want]
-    assert list(map(fields, trace)) == [fields(report) for _, report in want]
+    assert trace_fields(trace) == [fields(report) for _, report in want]
     assert cycle_csv_lines(trace) == reference_rows(report for _, report in want)
 
 
@@ -191,6 +195,53 @@ def test_the_views_of_one_pattern_share_one_occupancy_tuple(architecture, idle):
     patterns = set(occupancies)
     assert len(patterns) < len(occupancies)
     assert len(set(map(id, occupancies))) == len(patterns)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_a_block_and_its_drain_share_the_plan_and_its_occupancy_tuples(architecture):
+    # run_pipeline's two clocks; the idle tick leaves the pattern that the
+    # drain's first tick has too
+    model = build_pipeline(make_config(taps=5), architecture)
+    block = model.clock([5] * 10 + [None] + [5] * 10)
+    drain = model.clock([None] * model.pending)
+    assert block.plan is drain.plan is model.plan
+    first = {occupancy: occupancy for occupancy in (view.stage_occupancy for view in block)}
+    shared = [view.stage_occupancy for view in drain if view.stage_occupancy in first]
+    assert shared and all(first[occupancy] is occupancy for occupancy in shared)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_simulate_fills_the_plan_ops_but_no_occupancy(tmp_path, architecture):
+    path = tmp_path / "in.csv"
+    path.write_text("".join(f"{(5 * x) % 128}\n" for x in range(300)), encoding="utf-8")
+    models = []
+    original = gdswu.cli.run_pipeline
+
+    def capture(model, samples):
+        models.append(model)
+        return original(model, samples)
+
+    argv = ["simulate", str(path), "--taps", "16", "--architecture", architecture,
+            "-o", str(tmp_path / "cycles.csv"), "--summary", str(tmp_path / "summary.json")]
+    with mock.patch.object(gdswu.cli, "run_pipeline", capture):
+        assert gdswu.cli.main(argv) == 0
+    (model,) = models
+    assert model.plan.full in model.plan
+    assert model.plan.occupancy == {}
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("taps", [1, 2, 5, 64])
+def test_the_cached_ops_are_the_plan_ops(taps, architecture):
+    model = build_pipeline(make_config(taps=taps), architecture)
+    # a gapless stretch that fills even a 64-tap chain, then gaps
+    stream = [None if 90 < i < 100 or i > 150 and i % 3 == 1 else (7 * i) % 128
+              for i in range(300)]
+    _, trace = run_pipeline(model, stream)
+    cycle_csv_lines(trace)
+    plan = model.plan
+    assert plan.full in plan and set(plan) == {bits for bits, _ in trace.runs}
+    assert all(ops == plan.ops(bits) for bits, ops in plan.items())
 
 
 def test_simulate_builds_no_per_tick_view(tmp_path):

@@ -4,8 +4,12 @@ Both models emit the filter's outputs, which equal ``oracle_exact``.  The
 first output appears on tick ``latency``, and every cycle in which every
 stage is busy counts ``taps`` multiplies, ``taps - 1`` adds and one
 normalize.  Every ``CycleReport`` field matches the frozen tick models in
-``reference_systolic``, idle ticks mid-stream included.
+``reference_systolic``, idle ticks mid-stream included: those a per-tick
+view carries, and the inputs and ops read off the trace's columns, runs and
+plan.
 """
+
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +17,25 @@ from hypothesis import strategies as st
 
 from gdswu.core import GammaWindowFilter, make_config
 from gdswu.systolic import ARCHITECTURES, build_pipeline, run_pipeline
-from reference_systolic import build_reference, run_reference
+from reference_systolic import build_reference, expand_trace, run_reference
 from strategies import configs, oracle, streams
 
 REPORT_FIELDS = ("cycle", "consumed_input", "emitted_output", "ops", "stage_occupancy",
                  "total_ops")
+# the fields a package view carries
+view_fields = attrgetter("cycle", "emitted_output", "stage_occupancy", "total_ops")
 
 
 def fields(report):
     return tuple(getattr(report, name) for name in REPORT_FIELDS)
+
+
+def trace_fields(trace):
+    """The ``fields`` of each tick of a package trace, read by
+    ``expand_trace``; the trace's per-tick views must agree with them."""
+    reports = expand_trace(trace)
+    assert list(map(view_fields, trace)) == list(map(view_fields, reports))
+    return list(map(fields, reports))
 
 
 def gappy_streams(config, max_size=80):
@@ -41,10 +55,10 @@ def test_every_tick_matches_the_reference_models(data):
     ticks = data.draw(gappy_streams(config)) + [None] * (model.latency + 1)
     for sample in ticks:
         trace = model.clock([sample])
-        (output,), (report,) = trace.outputs, trace
+        (output,), (report,) = trace.outputs, trace_fields(trace)
         want_output, want = reference.tick(sample)
         assert output == want_output
-        assert fields(report) == fields(want)
+        assert report == fields(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -57,7 +71,7 @@ def test_a_gappy_stream_in_one_block_matches_the_reference_models(data):
     reference = build_reference(config, architecture)
     drain = len(reports) - len(stream)
     want = [reference.tick(sample) for sample in stream + [None] * drain]
-    assert list(map(fields, reports)) == [fields(report) for _, report in want]
+    assert trace_fields(reports) == [fields(report) for _, report in want]
     assert outputs == [output for output, _ in want if output is not None]
     # the drain stops on the tick that emits the last output
     assert len(outputs) == len(stream) - stream.count(None)
@@ -74,7 +88,7 @@ def test_busy_stretches_between_idle_ticks_match_the_reference_models(taps, arch
     reference = build_reference(config, architecture)
     drain = len(reports) - len(stream)
     want = [reference.tick(sample)[1] for sample in stream + [None] * drain]
-    assert list(map(fields, reports)) == list(map(fields, want))
+    assert trace_fields(reports) == list(map(fields, want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,7 +100,7 @@ def test_run_pipeline_matches_the_reference_models(data):
         outputs, reports = run_pipeline(build_pipeline(config, architecture), stream)
         want_outputs, want = run_reference(build_reference(config, architecture), stream)
         assert outputs == want_outputs
-        assert list(map(fields, reports)) == list(map(fields, want))
+        assert trace_fields(reports) == list(map(fields, want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,13 +136,14 @@ def test_every_busy_cycle_counts_one_full_window(data):
     taps = config.taps
     for architecture in ARCHITECTURES:
         model = build_pipeline(config, architecture)
-        _, reports = run_pipeline(model, stream)
-        assert all(len(r.stage_occupancy) == model.latency for r in reports)
-        busy = [r for r in reports if all(r.stage_occupancy)]
+        _, trace = run_pipeline(model, stream)
+        assert all(len(r.stage_occupancy) == model.latency for r in trace)
+        busy = [(view, report) for view, report in zip(trace, expand_trace(trace))
+                if all(view.stage_occupancy)]
         assert len(busy) == max(0, len(stream) - model.latency + 1)
-        for report in busy:
+        for view, report in busy:
             assert report.ops == {"multiply": taps, "add": taps - 1, "normalize": 1}
-            assert report.total_ops == 2 * taps
+            assert view.total_ops == report.total_ops == 2 * taps
 
 
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
@@ -145,7 +160,7 @@ def test_tick_rejects_a_bad_sample_and_clocks_nothing(architecture):
     assert next(iter(reports)).cycle == 1
     assert outputs == GammaWindowFilter(config).run(stream)
     trace = model.clock([None])
-    (output,), (idle,) = trace.outputs, trace
+    (output,), (idle,) = trace.outputs, expand_trace(trace)
     assert (output, idle.consumed_input, idle.cycle) == (None, None, len(reports) + 1)
 
 
@@ -169,7 +184,7 @@ def test_a_bad_sample_mid_stream_consumes_the_prefix(architecture, bad, error, m
         (output,), (report,) = trace.outputs, trace
         want_output, want = reference.tick(None)
         assert output == want_output
-        assert fields(report) == fields(want)
+        assert trace_fields(trace) == [fields(want)]
         cycles.append(report.cycle)
     assert cycles[0] == len(prefix) + 1
 
