@@ -14,10 +14,28 @@ from one block to the next.  ``run`` evaluates a whole block with one
 integer product (Kronecker substitution): the carried samples plus the
 block, and the raw weights, are each packed into one Python int with a
 field of F bytes per value, so field k of their product is the convolution
-term sum(w[i] * s[k - i]).  Every term is non-negative and at most
-``max_raw * raw_sum``; F is chosen so that this bound is below 2**(8F), so
-no field ever carries into the next and each field is A exactly (see the
-``fixed_point`` module note).
+term sum(w[i] * s[k - i]).  The weights are packed already scaled by the
+mode's multiplier m, so a field holds A * m, and the output is
+``(A * m) >> s`` (division by multiply and shift).  Every term is
+non-negative and at most ``max_raw * raw_sum * m``; F is chosen so that
+this bound is below 2**(8F), so no field ever carries into the next (see
+the ``fixed_point`` module note for the bound and for m and s).
+
+The sample check is fused with the pack.  ``array`` packs the samples in C
+and raises TypeError for a non-integer and OverflowError for a negative
+or too wide a value; then, as ``max_raw`` is ``2**k - 1``, one AND of the
+packed int with a mask of every field's bits from k up tests every upper
+bound at once.  On any failure the block is checked again sample by
+sample (``check_samples``), which finds the valid prefix and the exact
+error, and only that prefix is filtered.
+
+The shift s is a whole number of bytes, so an output is a byte-aligned
+slice of its field.  When every output fits in one byte (samples of at
+most 8 bits in normalized mode, ``max_raw * raw_sum >> frac_bits`` below
+256 in raw mode) the outputs are one strided slice of the product's bytes,
+one byte per field; otherwise each field is read whole and shifted.  In
+raw mode an output above ``max_raw`` is then clamped to it, a pass that
+runs only when one of the config's sums can saturate at all.
 
 Warm-up uses zero padding: the carried samples start at zero like a
 hardware shift register after reset, and there is no partial-sum
@@ -108,17 +126,11 @@ def check_samples(samples: Iterable, max_raw: int):
     """The longest valid prefix of ``samples``, checked, and the error that
     ``check_sample`` raised for the sample after it (None when all are valid).
 
-    Every item is a sample: a pipeline maps its idle ticks to 0 first.
+    Every item is a sample: a pipeline maps its idle ticks to 0 first.  The
+    kernel calls this only when its fused check fails.
     """
-    values = list(samples)
-    try:
-        checked = list(map(operator.index, values))
-        if not checked or (min(checked) >= 0 and max(checked) <= max_raw):
-            return checked, None
-    except TypeError:
-        pass
     checked = []
-    for sample in values:
+    for sample in samples:
         try:
             checked.append(check_sample(sample, max_raw))
         except (TypeError, ValueError) as exc:
@@ -136,10 +148,21 @@ class GammaWindowFilter:
 
     def __init__(self, config: FilterConfig):
         self.config = config
-        self._width = _field_bytes(config)
-        self._packed_weights = _pack(config.weights.raw, self._width)
-        self._max_raw = config.sample_format.max_raw
-        self._carry = [0] * (config.taps - 1)  # oldest sample first
+        multiplier, self._shift = _scale(config)
+        self._width = width = _field_bytes(config)
+        scaled = [w * multiplier for w in config.weights.raw]
+        self._packed_weights = int.from_bytes(_fields(scaled, width), sys.byteorder)
+        self._max_raw = max_raw = config.sample_format.max_raw
+        # one field's bits above max_raw, which is 2**k - 1
+        self._high = ((1 << 8 * width) - 1 - max_raw).to_bytes(width, sys.byteorder)
+        # the largest output before any clamp, that of the largest sum
+        top = (max_raw * config.weights.raw_sum * multiplier) >> self._shift
+        # the byte of a field where its output starts, read alone when every
+        # output fits in it
+        byte = self._shift // 8 if sys.byteorder == "little" else width - 1 - self._shift // 8
+        self._byte = byte if top <= 255 else None
+        self._saturates = top > max_raw
+        self._carry = bytes((config.taps - 1) * width)  # packed, oldest sample first
 
     def run(self, samples: Iterable[int]) -> list[int]:
         """Filter a block; output length equals input length.
@@ -149,79 +172,107 @@ class GammaWindowFilter:
         before it is consumed, then ``check_sample``'s error is raised: a
         ValueError again naming the sample's index, a TypeError as is.
         """
-        checked, error = check_samples(samples, self._max_raw)
-        outputs = self._run_block(checked)
+        outputs, error = self._run_block(samples)
         if isinstance(error, ValueError):
-            raise ValueError(f"sample {len(checked)}: {error}") from error
+            raise ValueError(f"sample {len(outputs)}: {error}") from error
         if error is not None:
             raise error
         return outputs
 
-    def _run_block(self, values: list[int]) -> list[int]:
-        """Outputs for in-range int samples, by one packed product."""
+    def _run_block(self, samples: Iterable) -> tuple[list[int], Exception | None]:
+        """The outputs of the longest valid prefix of ``samples``, by one
+        packed product, and ``check_sample``'s error for the sample after
+        it (None when all are valid).  The one kernel: ``run`` and the
+        pipeline models call it, and the fault sweep calls ``run``."""
+        values = samples if isinstance(samples, list) else list(samples)
+        width, order = self._width, sys.byteorder
+        error = None
+        try:
+            stream = self._carry + _fields(values, width)
+            packed = int.from_bytes(stream, order)
+            if packed & int.from_bytes(self._high * (len(stream) // width), order):
+                raise ValueError("a sample above max_raw")
+        except (TypeError, ValueError, OverflowError):
+            # sample by sample: the valid prefix and the exact error
+            values, error = check_samples(values, self._max_raw)
+            stream = self._carry + _fields(values, width)
+            packed = int.from_bytes(stream, order)
         if not values:
-            return []
+            return [], error
         taps = self.config.taps
-        stream = self._carry + values
-        product = _pack(stream, self._width) * self._packed_weights
-        accumulators = _unpack(
-            product, self._width, len(stream) + taps - 1, taps - 1, len(values)
-        )
-        # not stream[-(taps - 1):], which is the whole stream at one tap
-        self._carry = stream[len(stream) - taps + 1:]
-        return _normalize(self.config, accumulators)
+        lo, hi = (taps - 1) * width, len(stream)
+        data = (packed * self._packed_weights).to_bytes(hi + lo, order)
+        self._carry = stream[hi - lo:]
+        if self._byte is not None:
+            outputs = list(data[lo + self._byte : hi : width])
+        else:
+            shift = self._shift
+            outputs = [a >> shift for a in _unpack(memoryview(data)[lo:hi], width)]
+        if self._saturates and max(outputs) > self._max_raw:
+            top = self._max_raw
+            outputs = [y if y <= top else top for y in outputs]
+        return outputs, error
 
 
-def _normalize(config: FilterConfig, accumulators: Iterable[int]) -> list[int]:
-    """The output mode's step over exact weighted sums."""
+def _scale(config: FilterConfig) -> tuple[int, int]:
+    """(m, s), s a whole number of bytes, such that ``(A * m) >> s`` is the
+    output mode's floor(A / divisor) for every sum 0 <= A <= max_raw * raw_sum
+    (proof in the ``fixed_point`` module note)."""
     weights = config.weights
     if config.mode == MODE_NORMALIZED:
-        raw_sum = weights.raw_sum
-        return [acc // raw_sum for acc in accumulators]
-    shift = weights.qformat.frac_bits
-    # the largest sum that still shifts down to max_raw; larger sums saturate
-    limit = ((config.sample_format.max_raw + 1) << shift) - 1
-    return [(acc if acc <= limit else limit) >> shift for acc in accumulators]
+        bound = config.sample_format.max_raw * weights.raw_sum
+        shift = _whole_bytes(bound.bit_length() + weights.raw_sum.bit_length())
+        return -(-(1 << shift) // weights.raw_sum), shift
+    frac_bits = weights.qformat.frac_bits
+    shift = _whole_bytes(frac_bits)
+    return 1 << (shift - frac_bits), shift
 
 
-# array typecode per item size in bytes (1, 2, 4 and 8 on common platforms)
-_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+def _whole_bytes(bits: int) -> int:
+    """``bits`` rounded up to a multiple of 8."""
+    return -(-bits // 8) * 8
+
+
+# array typecode per item size in bytes (2, 4 and 8 on common platforms); a
+# field is never one byte, as s >= 8 and a field holds byte s // 8
+_ARRAY_CODES = {array(code).itemsize: code for code in "HILQ"}
 
 
 def _field_bytes(config: FilterConfig) -> int:
-    """Field width F in bytes such that no convolution term reaches 2**(8F).
+    """Field width F in bytes: no product field reaches 2**(8F), and a field
+    holds byte s // 8, where the output starts.
 
-    A term is sum(w[i] * s[k - i]) <= max_raw * raw_sum, as all operands are
-    non-negative.  F is rounded up to an array item size where one exists.
+    A product field is m * sum(w[i] * s[k - i]) <= m * max_raw * raw_sum, as
+    all operands are non-negative.  F is rounded up to an array item size
+    where one exists.
     """
-    bound = config.sample_format.max_raw * config.weights.raw_sum
-    need = max(1, -(-bound.bit_length() // 8))
+    multiplier, shift = _scale(config)
+    bound = config.sample_format.max_raw * config.weights.raw_sum * multiplier
+    need = max(-(-bound.bit_length() // 8), shift // 8 + 1)
     return min((size for size in _ARRAY_CODES if size >= need), default=need)
 
 
-def _pack(values: Sequence[int], width: int) -> int:
-    """One int whose ``width``-byte fields hold ``values``, in native byte order.
+def _fields(values: Sequence, width: int):
+    """``values`` in ``width``-byte fields, in native byte order, as a
+    bytes-like object.  A non-integer raises TypeError, and a negative or
+    too wide a value OverflowError.
 
     Packing and unpacking use the same order, so field k of a product of
     packed ints is read back at field k whatever the platform's endianness.
     """
     code = _ARRAY_CODES.get(width)
     if code is not None:
-        return int.from_bytes(array(code, values), sys.byteorder)
-    return int.from_bytes(
-        b"".join(v.to_bytes(width, sys.byteorder) for v in values), sys.byteorder
-    )
+        return array(code, values)
+    return b"".join(operator.index(v).to_bytes(width, sys.byteorder) for v in values)
 
 
-def _unpack(packed: int, width: int, fields: int, start: int, count: int):
-    """Fields ``start .. start + count - 1`` of an int of ``fields`` fields."""
-    data = memoryview(packed.to_bytes(fields * width, sys.byteorder))
-    data = data[start * width : (start + count) * width]
+def _unpack(data: memoryview, width: int):
+    """The ``width``-byte fields of ``data``, as ints."""
     code = _ARRAY_CODES.get(width)
     if code is not None:
-        accumulators = array(code)
-        accumulators.frombytes(data)
-        return accumulators
+        fields = array(code)
+        fields.frombytes(data)
+        return fields
     return [
         int.from_bytes(data[k : k + width], sys.byteorder)
         for k in range(0, len(data), width)

@@ -16,18 +16,22 @@ lag 0.
 
 The stream is filtered once, whole, by a fresh filter.  That clean run
 checks the stream's samples and is the clean twin of every spec.
-Each spec then filters only the span of its faulty stream that the fault
+Each spec then needs only the span of its faulty stream that the fault
 can reach.  An output depends on the last ``taps`` samples alone (finite
 support), so the clean and faulty outputs can differ only at indices
 ``start .. end + taps - 2``, and each of those depends on samples from
-``start - taps + 1`` on.  The faulty run covers ``stream[lo:hi]`` with
-``lo = max(0, start - taps + 1)`` and ``hi = min(n, end + taps - 1)``, and
-its first ``start - lo`` outputs are dropped.  When ``lo == 0`` a fresh
-filter's zero padding is the stream's own start; when ``lo > 0`` every kept
-output sees only samples in the span.  So each kept output equals the
-full-stream one, and it is compared with ``clean_out[start:hi]``.
-Errors name stream indices: a window that overruns the stream first, then
-a bad sample, then an out-of-range level, at the fault's start.
+``start - taps + 1`` on.  A spec's segment is therefore the faulty stream
+over ``[start - taps + 1, hi)``, ``hi = min(n, end + taps - 1)``, with a zero
+pad standing in for each index before the stream's start, as a fresh
+filter's zeroed window does.  The segments of all specs are joined, in
+spec order, and filtered by one fresh filter in one run.  The last
+``hi - start`` outputs of a segment see only that segment's samples: the
+``taps - 1`` before them lead every segment.  So each equals the
+full-stream faulty output, and it is compared with ``clean_out[start:hi]``.
+Every check runs before the joined run, in spec order, and errors name
+stream indices: a window that overruns the stream first, then a bad
+sample (at the first spec, by the clean run), then an out-of-range level,
+at the fault's start.
 """
 
 from __future__ import annotations
@@ -116,47 +120,54 @@ def sweep(
 
     ``streams`` holds exactly one stream.  It is read once and filtered
     clean once, after the first spec's window check, which checks its
-    samples; each spec adds one faulty run over the span its fault can
-    reach (see the module note).  A report holds the spec's fields under
-    ``"spec"``, then ``max_output_deviation``, ``analytic_bound``,
-    ``recovery_index`` and ``bound_satisfied``, and equals the one over the
-    whole stream.  recovery_index is the first index at or after the fault
-    end from which the two output streams agree for good; a window purge
-    guarantees it is at most ``spec.end + taps - 1``.
+    samples; the faulty segments of all specs, each the span its fault can
+    reach, then take one more run (see the module note).  A report holds
+    the spec's fields under ``"spec"``, then ``max_output_deviation``,
+    ``analytic_bound``, ``recovery_index`` and ``bound_satisfied``, and
+    equals the one over the whole stream.  recovery_index is the first
+    index at or after the fault end from which the two output streams
+    agree for good; a window purge guarantees it is at most
+    ``spec.end + taps - 1``.
     """
     if len(streams) != 1:
         raise ValueError(f"need exactly 1 stream, got {len(streams)}")
     clean = list(streams[0])
-    reports = []
+    taps = config.taps
+    spans, joined = [], []
     for spec in specs:
         _check_window(spec, len(clean))
-        if not reports:
+        if not spans:
             clean_out = GammaWindowFilter(config).run(clean)
         try:
             level = check_sample(spec.replacement_value, config.sample_format.max_raw)
         except ValueError as exc:
             raise ValueError(f"sample {spec.start}: {exc}") from exc
-        lo = max(0, spec.start - config.taps + 1)
-        hi = min(len(clean), spec.end + config.taps - 1)
-        faulty = clean[lo:hi]
-        faulty[spec.start - lo : spec.end - lo] = [level] * spec.duration
-        out_faulty = GammaWindowFilter(config).run(faulty)[spec.start - lo :]
+        # the taps - 1 samples before the fault, zeros before the stream's
+        # start, then the faulty stream up to hi
+        lo = spec.start - taps + 1
+        hi = min(len(clean), spec.end + taps - 1)
+        joined += [0] * -lo + clean[max(0, lo):spec.start]
+        spans.append((spec, level, hi, len(joined)))
+        joined += [level] * spec.duration + clean[spec.end:hi]
+    joined_out = GammaWindowFilter(config).run(joined) if spans else []
 
-        deviations = [abs(a - b) for a, b in zip(out_faulty, clean_out[spec.start : hi])]
+    reports = []
+    for spec, level, hi, at in spans:
+        faulty_out = joined_out[at : at + hi - spec.start]
+        deviations = list(map(abs, map(operator.sub, faulty_out, clean_out[spec.start : hi])))
         max_deviation = max(deviations)
         delta_max = max(abs(level - operator.index(x)) for x in clean[spec.start : spec.end])
         bound = analytic_deviation_bound(config, spec, delta_max)
-
-        last_diff = -1
-        for i, d in enumerate(deviations, spec.start):
-            if d != 0:
-                last_diff = i
+        # the outputs agree for good after the last deviation
+        changed = len(deviations)
+        while changed and not deviations[changed - 1]:
+            changed -= 1
 
         reports.append({
             "spec": dict(vars(spec)),
             "max_output_deviation": max_deviation,
             "analytic_bound": bound,
-            "recovery_index": max(spec.end, last_diff + 1),
+            "recovery_index": max(spec.end, spec.start + changed),
             "bound_satisfied": max_deviation <= bound,
         })
 

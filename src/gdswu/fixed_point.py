@@ -12,14 +12,30 @@ The filter stays exact in one way: a width proven not to overflow.  Its
 one kernel (``core.GammaWindowFilter._run_block``, which ``run`` and the
 pipeline models share) packs samples and weights into fields of F bytes of
 one Python int and multiplies once, so each product field is a whole sum.
-With samples in 0..max_raw and non-negative weights summing to raw_sum, no
-sum exceeds ``max_raw * raw_sum``; F is chosen with that bound below
-2**(8F), so no field carries into its neighbour and every sum is read back
-exactly.
-The bound is computed per configuration, so it holds for every QFormat,
-64-bit samples included.  ``mac_exact`` is a plain Python-int
-multiply-accumulate that the filter does not call; it is kept only for
-the benchmark harness, which wraps it.
+The weights are packed scaled by a multiplier m, so a field holds A * m for
+the window sum A, and the output is read as ``(A * m) >> s``.
+
+With samples in 0..max_raw and non-negative weights summing to raw_sum,
+every sum lies in 0..N, N = max_raw * raw_sum.  The output mode divides by
+d: raw_sum (normalized-average) or 2**frac_bits (raw-accumulate).
+
+- Normalized-average: s = bitlen(N) + bitlen(d), rounded up to a multiple
+  of 8, and m = ceil(2**s / d) = (2**s + e) / d with 0 <= e < d.  For
+  0 <= A <= N write A = q * d + r with 0 <= r < d.  Then
+  A * m / 2**s = A / d + A * e / (d * 2**s), and the second term is below
+  N / 2**s <= N / (2**bitlen(N) * 2**bitlen(d)) < 1 / d, since
+  2**bitlen(x) > x.  So q <= A * m / 2**s < q + (r + 1) / d <= q + 1, and
+  ``(A * m) >> s == A // d`` (Granlund and Montgomery, PLDI 1994).
+- Raw-accumulate: s = frac_bits rounded up to a multiple of 8 and
+  m = 2**(s - frac_bits), so ``(A * m) >> s == A >> frac_bits`` exactly.
+
+F is chosen with ``N * m < 2**(8F)``, so no field carries into its
+neighbour and every sum is read back exactly, and with F > s // 8, so the
+byte where a field's output starts lies inside it.  The bound is computed
+per configuration, so it holds for every QFormat, 64-bit samples
+included.  ``mac_exact`` is a plain Python-int multiply-accumulate that
+the filter does not call; it is kept only for the benchmark harness,
+which wraps it.
 """
 
 from __future__ import annotations

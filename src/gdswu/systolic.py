@@ -66,7 +66,7 @@ from __future__ import annotations
 from itertools import chain, count, groupby, islice, repeat
 from typing import Iterator
 
-from .core import FilterConfig, GammaWindowFilter, check_samples
+from .core import FilterConfig, GammaWindowFilter
 from .csv_rows import numbered_rows
 
 ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
@@ -280,11 +280,10 @@ class SystolicPipeline:
         values = samples if isinstance(samples, list) else list(samples)
         gaps = None in values
         zeroed = [0 if x is None else x for x in values] if gaps else values
-        ticks, error = check_samples(zeroed, self._filter._max_raw)
-        # the ticks are checked already, so they skip run's sample check
-        outputs = self._filter._run_block(ticks)
+        outputs, error = self._filter._run_block(zeroed)
+        # a fresh list: the trace's column must not be the caller's list
+        ticks = values[:len(outputs)]
         if gaps:
-            ticks = [None if x is None else y for x, y in zip(values, ticks)]
             outputs = [None if x is None else y for x, y in zip(ticks, outputs)]
         stream = self._in_flight + outputs
         emitted, self._in_flight = stream[:len(ticks)], stream[len(ticks):]

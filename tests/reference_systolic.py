@@ -12,9 +12,23 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
-from gdswu.core import FilterConfig, _normalize, check_sample
+from gdswu.core import MODE_NORMALIZED, FilterConfig, check_sample
 from gdswu.systolic import OPS, cycle_csv_blocks
+
+
+def _normalize(config: FilterConfig, accumulators: Iterable[int]) -> list[int]:
+    """The output mode's step over exact weighted sums, by division; the
+    package's kernel folds it into its packed product instead."""
+    weights = config.weights
+    if config.mode == MODE_NORMALIZED:
+        raw_sum = weights.raw_sum
+        return [acc // raw_sum for acc in accumulators]
+    shift = weights.qformat.frac_bits
+    # the largest sum that still shifts down to max_raw; larger sums saturate
+    limit = ((config.sample_format.max_raw + 1) << shift) - 1
+    return [(acc if acc <= limit else limit) >> shift for acc in accumulators]
 
 
 def tree_depth(taps: int) -> int:

@@ -23,9 +23,20 @@ from hypothesis.stateful import (
 )
 
 import gdswu.core
-from gdswu.core import MODES, GammaWindowFilter, _field_bytes, make_config
+from gdswu.core import (
+    MODE_NORMALIZED,
+    MODE_RAW,
+    MODES,
+    GammaWindowFilter,
+    _field_bytes,
+    _scale,
+    check_sample,
+    make_config,
+)
+from gdswu.faults import FaultSpec, sweep
 from gdswu.fixed_point import ROUNDING_MODES
 from gdswu.oracle import oracle_exact
+from gdswu.systolic import ARCHITECTURES, build_pipeline, run_pipeline
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -101,30 +112,89 @@ def test_chunked_run_equals_one_shot(data):
     assert filt.run(probe) == one_shot.run(probe)
 
 
+# (normalized, raw-accumulate) field widths: a field holds the scaled bound
+# max_raw * raw_sum * m and the byte s // 8 where the output starts
 @pytest.mark.parametrize(
-    "sample_int_bits, frac_bits, taps, width",
+    "sample_int_bits, frac_bits, taps, widths",
     [
-        (1, 4, 8, 1),
-        (7, 7, 16, 2),
-        (7, 12, 64, 4),
-        (20, 12, 64, 8),
-        (60, 7, 16, 9),
-        (64, 14, 64, 10),
+        (1, 4, 8, (2, 2)),
+        (7, 7, 16, (4, 2)),
+        (7, 12, 64, (8, 4)),
+        (20, 12, 64, (9, 8)),
+        (60, 7, 16, (18, 9)),
+        (64, 14, 64, (20, 11)),
     ],
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_full_scale_stream_fills_every_field_without_carry(
-    sample_int_bits, frac_bits, taps, width, mode
+    sample_int_bits, frac_bits, taps, widths, mode
 ):
     # A full-scale stream drives every sum to its bound max_raw * raw_sum.
     config = make_config(
         a=1, b=8.0, taps=taps, frac_bits=frac_bits, mode=mode,
         sample_int_bits=sample_int_bits,
     )
-    assert _field_bytes(config) == width
+    assert _field_bytes(config) == widths[MODES.index(mode)]
     top = config.sample_format.max_raw
     stream = [top] * (3 * taps) + [0, top, 1, top - 1] * taps
     assert GammaWindowFilter(config).run(stream) == oracle(config, stream)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "sample_int_bits, frac_bits, taps, widths",
+    [(1, 4, 8, (2, 2)), (64, 14, 64, (20, 11))],
+    ids=["narrowest", "widest"],
+)
+def test_the_largest_sum_and_the_one_below_it(sample_int_bits, frac_bits, taps, widths, mode):
+    # The last output's window sums to N = max_raw * raw_sum, then to N - 1
+    # with one sample lowered by 1 under a weight of 1.
+    config = make_config(
+        a=1, b=8.0, taps=taps, frac_bits=frac_bits, mode=mode,
+        sample_int_bits=sample_int_bits,
+    )
+    assert _field_bytes(config) == widths[MODES.index(mode)]
+    top, raw = config.sample_format.max_raw, config.weights.raw
+    full = [top] * (2 * taps)
+    below = list(full)
+    below[-1 - raw.index(1)] = top - 1
+    bound = top * config.weights.raw_sum
+    for stream, total in ((full, bound), (below, bound - 1)):
+        assert sum(w * x for w, x in zip(raw, reversed(stream))) == total
+        assert GammaWindowFilter(config).run(stream) == oracle(config, stream)
+
+
+@pytest.mark.parametrize("frac_bits, width", [(4, 2), (60, 9)])
+def test_the_output_byte_lies_inside_a_field_whose_sums_fit_below_it(frac_bits, width):
+    # 1-bit samples, 8 taps, raw mode: every sum is below 2**frac_bits, so
+    # every output is 0 and every scaled sum fits below byte s // 8, the
+    # byte the output is read from; the field still holds that byte.  At
+    # frac_bits 4 the scaled sums fit 1 byte, at 60 they fit 8.
+    config = make_config(
+        a=1, b=8.0, taps=8, frac_bits=frac_bits, mode=MODE_RAW, sample_int_bits=1
+    )
+    multiplier, shift = _scale(config)
+    assert config.weights.raw_sum < 1 << frac_bits
+    assert (config.weights.raw_sum * multiplier).bit_length() <= shift
+    assert _field_bytes(config) == width == shift // 8 + 1
+    stream = [1] * 20 + [0, 1, 1, 0] * 5
+    assert GammaWindowFilter(config).run(stream) == oracle(config, stream) == [0] * 40
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_multiply_and_shift_is_the_floor_division_at_every_quotient_edge(data):
+    config = data.draw(configs())
+    w = config.weights
+    divisor = w.raw_sum if config.mode == MODE_NORMALIZED else 1 << w.qformat.frac_bits
+    bound = config.sample_format.max_raw * w.raw_sum
+    multiplier, shift = _scale(config)
+    assert shift % 8 == 0
+    quotients = st.integers(0, bound // divisor)
+    for q in data.draw(st.lists(quotients, min_size=1, max_size=50)) + [0, bound // divisor]:
+        for a in (q * divisor - 1, q * divisor, q * divisor + divisor - 1, bound - 1, bound):
+            if 0 <= a <= bound:
+                assert (a * multiplier) >> shift == a // divisor
 
 
 @settings(max_examples=80, deadline=None)
@@ -157,6 +227,102 @@ def test_non_integer_sample_mid_block_raises_type_error_after_prefix():
     pushed = GammaWindowFilter(config)
     pushed.run([5, 6])
     assert block.run([1, 2, 3]) == pushed.run([1, 2, 3])
+
+
+class Index:
+    """A sample that is an int only through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# fields of 4 and 2 bytes, packed by ``array``, and of 20 bytes, packed one
+# ``int.to_bytes`` at a time
+CHECK_CONFIGS = {
+    "normalized": make_config(taps=4),
+    "raw": make_config(taps=4, mode=MODE_RAW),
+    "64-bit": make_config(taps=4, frac_bits=14, sample_int_bits=64),
+}
+
+
+def bad_samples(config):
+    """Samples ``check_sample`` rejects.  The packers take the last three
+    (an int above max_raw that fits a field, by ``__index__`` too, and a
+    field's largest value), which the fused check's mask must then reject."""
+    top = config.sample_format.max_raw
+    return [1.5, "3", -1, 2**64, Index(-2), top + 1, Index(top + 1),
+            (1 << 8 * _field_bytes(config)) - 1]
+
+
+def check_error(sample, top):
+    try:
+        check_sample(sample, top)
+    except (TypeError, ValueError) as exc:
+        return exc
+    raise AssertionError(f"{sample!r} is a valid sample")
+
+
+def raises_as(kind, message, call):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (info.type, str(info.value)) == (kind, message)
+
+
+PREFIX = [127, 0, 1, 126, 7]
+
+
+@pytest.mark.parametrize("at", [0, 3, 5])
+@pytest.mark.parametrize("name", CHECK_CONFIGS)
+def test_run_keeps_the_message_and_the_prefix_of_check_sample(name, at):
+    config = CHECK_CONFIGS[name]
+    top = config.sample_format.max_raw
+    for bad in bad_samples(config) + [None]:
+        error = check_error(bad, top)
+        message = f"sample {at}: {error}" if type(error) is ValueError else str(error)
+        filt = GammaWindowFilter(config)
+        raises_as(type(error), message, lambda: filt.run(PREFIX[:at] + [bad, 3]))
+        fed = GammaWindowFilter(config)
+        fed.run(PREFIX[:at])
+        assert filt.run(PREFIX) == fed.run(PREFIX)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("name", CHECK_CONFIGS)
+def test_clock_keeps_the_message_and_the_prefix_of_check_sample(name, architecture):
+    config = CHECK_CONFIGS[name]
+    top = config.sample_format.max_raw
+    for bad in bad_samples(config):
+        error = check_error(bad, top)
+        model = build_pipeline(config, architecture)
+        raises_as(type(error), str(error), lambda: model.clock([5, None, *PREFIX, bad, 3]))
+        fed = build_pipeline(config, architecture)
+        fed.clock([5, None, *PREFIX])
+        got, want = run_pipeline(model, PREFIX)[1], run_pipeline(fed, PREFIX)[1]
+        assert (got.first_cycle, got.inputs, got.outputs, got.runs) == (
+            want.first_cycle, want.inputs, want.outputs, want.runs)
+
+
+@pytest.mark.parametrize("name", CHECK_CONFIGS)
+def test_sweep_keeps_the_message_of_check_sample(name):
+    config = CHECK_CONFIGS[name]
+    top = config.sample_format.max_raw
+    specs = [FaultSpec("spike", 2, 1, top), FaultSpec("dropout", 40)]
+    for bad in bad_samples(config) + [None]:
+        error = check_error(bad, top)
+        stream = [top] * 50
+        stream[30] = bad
+        message = f"sample 30: {error}" if type(error) is ValueError else str(error)
+        raises_as(type(error), message, lambda: sweep(specs, config, [stream]))
+
+
+@pytest.mark.parametrize("name", CHECK_CONFIGS)
+def test_an_index_sample_in_range_is_its_int(name):
+    config = CHECK_CONFIGS[name]
+    stream = [config.sample_format.max_raw, 0, 5, 1, 9]
+    assert GammaWindowFilter(config).run(map(Index, stream)) == oracle(config, stream)
 
 
 def test_neither_run_nor_push_calls_mac_exact(monkeypatch):

@@ -255,3 +255,20 @@ def test_simulate_builds_no_per_tick_view(tmp_path):
             assert gdswu.cli.main(argv) == 0
         rows = cycles.read_text(encoding="utf-8").splitlines()
         assert len(rows) == 1 + 3000 + build_pipeline(make_config(taps=16), architecture).latency - 1
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize("taps", [1, 5, 64])
+def test_a_gapless_caller_list_is_never_the_trace_column(taps, architecture):
+    # The trace's input column grows as drains extend it, so it must be a
+    # list of the trace's own, not the caller's.
+    config = make_config(taps=taps)
+    stream = [(7 * i) % 128 for i in range(3 * taps)]
+    kept = list(stream)
+    for clock in (build_pipeline(config, architecture).clock,
+                  lambda samples: run_pipeline(build_pipeline(config, architecture), samples)[1]):
+        trace = clock(stream)
+        assert trace.inputs is not stream
+        assert stream == kept
+        trace.extend(build_pipeline(config, architecture).clock([None] * 3))
+        assert stream == kept

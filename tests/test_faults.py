@@ -256,28 +256,36 @@ SWEEP_SPECS = [FaultSpec(FAULT_KINDS[i % 3], 20 * i, 1 + i % 4, 9 * i) for i in 
 
 
 def _sweep_counting_runs(specs, stream):
-    """The sweep, and the length of the block each filter run was given.
+    """The sweep, the length of the block each filter run was given, and
+    the number of kernel calls.
 
     A stream's samples are checked by the run over the whole stream (300
-    samples); each spec's faulty run covers at most 2 * 7 + 4 of them.
+    samples); one more run takes every spec's faulty span, each led by the
+    7 samples before the fault and followed by at most 7 after it.
     """
-    lengths = []
-    real = GammaWindowFilter.run
+    lengths, kernel_calls = [], []
+    real_run, real_kernel = GammaWindowFilter.run, GammaWindowFilter._run_block
 
     def counting(self, samples):
         samples = list(samples)
         lengths.append(len(samples))
-        return real(self, samples)
+        return real_run(self, samples)
 
-    with mock.patch.object(GammaWindowFilter, "run", counting):
+    def counting_kernel(self, samples):
+        kernel_calls.append(None)
+        return real_kernel(self, samples)
+
+    with (mock.patch.object(GammaWindowFilter, "run", counting),
+          mock.patch.object(GammaWindowFilter, "_run_block", counting_kernel)):
         result = sweep(specs, make_config(taps=8), [stream])
-    return lengths, result
+    return lengths, len(kernel_calls), result
 
 
 def test_a_sweep_checks_one_shared_stream_once():
-    lengths, result = _sweep_counting_runs(SWEEP_SPECS, _stream_with(0, 0))
-    assert (lengths.count(300), result["aggregate"]["count"]) == (1, 12)
-    assert len(lengths) == 13  # one run per spec plus the clean run
+    lengths, kernel_calls, result = _sweep_counting_runs(SWEEP_SPECS, _stream_with(0, 0))
+    assert result["aggregate"]["count"] == 12
+    spans = sum(7 + spec.duration + 7 for spec in SWEEP_SPECS)
+    assert (lengths, kernel_calls) == ([300, spans], 2)
 
 
 def test_a_sweep_reads_a_shared_iterator_once():
