@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import os
@@ -51,10 +50,11 @@ HW_CLAIMED_OPS_PER_CYCLE = 22
 # per value), and a 64-bit sample format never builds its 2**64 entries.
 _TABLE_ROWS_PER_VALUE = 8
 
-# Config keys and their value types, from the parameters of make_config.
+# Config keys and their value types, from the parameters of make_config,
+# each of which has a default.
 _CONFIG_TYPES = {
-    name: type(param.default)
-    for name, param in inspect.signature(make_config).parameters.items()
+    name: type(default)
+    for name, default in zip(make_config.__code__.co_varnames, make_config.__defaults__)
 }
 
 

@@ -51,10 +51,9 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fixed_point import QFormat, RoundingMode
+from .fixed_point import QFormat, Record, RoundingMode
 # perfbench/tracing.py wraps gdswu.core.mac_exact
 from .fixed_point import mac_exact  # noqa: F401
 from .gamma_weights import GammaParams, WeightVector, build_weight_vector
@@ -64,18 +63,16 @@ MODE_RAW = "raw-accumulate"
 MODES: tuple[str, ...] = (MODE_NORMALIZED, MODE_RAW)
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(Record):
     """Weights, sample format and output mode; the window length and the
     gamma parameters are those of the weights."""
 
-    weights: WeightVector
-    sample_format: QFormat
-    mode: str = MODE_NORMALIZED
+    _fields = ("weights", "sample_format", "mode")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+    def __init__(self, weights: WeightVector, sample_format: QFormat, mode: str = MODE_NORMALIZED):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+        vars(self).update(weights=weights, sample_format=sample_format, mode=mode)
 
     @property
     def taps(self) -> int:

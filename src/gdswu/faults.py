@@ -37,32 +37,30 @@ at the fault's start.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import FilterConfig, GammaWindowFilter, MODE_NORMALIZED, check_sample
+from .fixed_point import Record
 
 FAULT_KINDS: tuple[str, ...] = ("spike", "stuck", "dropout")
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One injected transient: kind, position, duration, level."""
+class FaultSpec(Record):
+    """One injected transient: kind, position, duration, level (as ints)."""
 
-    kind: str
-    start: int
-    duration: int = 1
-    magnitude: int = 0
+    _fields = ("kind", "start", "duration", "magnitude")
 
-    def __post_init__(self):
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}, expected one of {FAULT_KINDS}")
-        if operator.index(self.start) < 0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
-        if operator.index(self.duration) < 1:
-            raise ValueError(f"duration must be >= 1, got {self.duration}")
-        if operator.index(self.magnitude) < 0:
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
+    def __init__(self, kind: str, start: int, duration: int = 1, magnitude: int = 0):
+        if kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {kind!r}, expected one of {FAULT_KINDS}")
+        start, duration, magnitude = map(operator.index, (start, duration, magnitude))
+        if start < 0:
+            raise ValueError(f"start must be >= 0, got {start}")
+        if duration < 1:
+            raise ValueError(f"duration must be >= 1, got {duration}")
+        if magnitude < 0:
+            raise ValueError(f"magnitude must be >= 0, got {magnitude}")
+        vars(self).update(kind=kind, start=start, duration=duration, magnitude=magnitude)
 
     @property
     def end(self) -> int:

@@ -7,6 +7,8 @@ an RTL adder tree of adequate width (``ceil(log2 N) + sample_bits +
 weight_bits`` bits for an N-term product sum — for N <= 2**16 and 32-bit
 operands that is at most 80 bits, so no intermediate rounding ever occurs).
 Saturation exists only in the raw-accumulate output step, never inside a sum.
+Quantization is exact too: ``round_scaled`` rounds a double's exact ratio
+n / d, scaled by 2**frac_bits, with integer division alone.
 
 The filter stays exact in one way: a width proven not to overflow.  Its
 one kernel (``core.GammaWindowFilter._run_block``, which ``run`` and the
@@ -40,9 +42,6 @@ which wraps it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Literal, Sequence
 
 RoundingMode = Literal["half-up", "half-even"]
@@ -52,36 +51,68 @@ ROUNDING_MODES: tuple[str, ...] = ("half-up", "half-even")
 MAX_BITS = 64  # the widest format, integer and fractional bits together
 
 
-@dataclass(frozen=True)
-class QFormat:
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a ``Record``."""
+
+
+class Record:
+    """Equality, hash and repr of a frozen dataclass over the ``_fields``;
+    ``__init__`` stores each attribute once, through ``vars``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class QFormat(Record):
     """Unsigned fixed-point layout: ``int_bits`` integer, ``frac_bits`` fractional."""
 
-    int_bits: int
-    frac_bits: int
-    # derived once here: the filter reads max_raw on every normalize call
-    max_raw: int = field(init=False, compare=False, repr=False)
+    _fields = ("int_bits", "frac_bits")
 
-    def __post_init__(self):
-        if self.int_bits < 0 or self.frac_bits < 0:
+    def __init__(self, int_bits: int, frac_bits: int):
+        if int_bits < 0 or frac_bits < 0:
             raise ValueError("bit counts must be non-negative")
-        total = self.int_bits + self.frac_bits
+        total = int_bits + frac_bits
         if not 1 <= total <= MAX_BITS:
             raise ValueError(f"total width must be 1..{MAX_BITS} bits, got {total}")
-        object.__setattr__(self, "max_raw", (1 << total) - 1)
+        # max_raw, not a field, is derived once: the filter reads it on every normalize
+        vars(self).update(int_bits=int_bits, frac_bits=frac_bits, max_raw=(1 << total) - 1)
 
 
 def round_scaled(v, frac_bits: int, rounding: RoundingMode = "half-up") -> int:
     """Round ``v * 2**frac_bits`` to an integer, exactly.
 
-    The scaling and the tie decision are done in rational arithmetic, so the
-    result is the true rounding of the given value with no double-rounding.
+    ``v`` is exactly n / d (``as_integer_ratio``), so the scaled value is
+    q + r / d with ``q, r = divmod(n << frac_bits, d)`` and 0 <= r < d, and
+    the tie decision compares 2r with d: integer arithmetic alone, with no
+    double-rounding.  A NaN raises ValueError and an infinity OverflowError.
     """
-    y = Fraction(v) * (1 << frac_bits)
-    if rounding == "half-up":
-        return math.floor(y + Fraction(1, 2))
-    if rounding == "half-even":
-        return round(y)
-    raise ValueError(f"unknown rounding mode {rounding!r}")
+    n, d = v.as_integer_ratio()
+    q, r = divmod(n << frac_bits, d)
+    if rounding not in ROUNDING_MODES:
+        raise ValueError(f"unknown rounding mode {rounding!r}")
+    if 2 * r > d or 2 * r == d and (rounding == "half-up" or q & 1):
+        q += 1
+    return q
 
 
 def mac_exact(samples: Sequence[int], weights: Sequence[int]) -> int:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
-from .fixed_point import MAX_BITS, QFormat, RoundingMode, round_scaled
+from .fixed_point import MAX_BITS, QFormat, Record, RoundingMode, round_scaled
 
 # Shapes above this would still be exact in Python but land outside any
 # sensible window parameterization; reject instead of approximating.
@@ -27,22 +26,19 @@ MAX_SHAPE = 20
 MAX_TAPS = 4096
 
 
-@dataclass(frozen=True)
-class GammaParams:
+class GammaParams(Record):
     """Shape ``a`` (positive integer) and scale ``b`` (positive real)."""
 
-    a: int
-    b: float
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        a = operator.index(self.a)
-        if not 1 <= a <= MAX_SHAPE:
-            raise ValueError(f"shape a must be an integer in 1..{MAX_SHAPE}, got {self.a}")
-        b = float(self.b)
-        if not math.isfinite(b) or b <= 0:
-            raise ValueError(f"scale b must be finite and > 0, got {self.b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, a: int, b: float):
+        shape = operator.index(a)
+        if not 1 <= shape <= MAX_SHAPE:
+            raise ValueError(f"shape a must be an integer in 1..{MAX_SHAPE}, got {a}")
+        scale = float(b)
+        if not math.isfinite(scale) or scale <= 0:
+            raise ValueError(f"scale b must be finite and > 0, got {b}")
+        vars(self).update(a=shape, b=scale)
 
 
 def gamma_pdf(x: float, params: GammaParams) -> float:
@@ -67,8 +63,7 @@ def gamma_pdf(x: float, params: GammaParams) -> float:
     return density
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Quantized tap weights plus the ideal density values they came from.
 
     ``raw[i]`` is exactly ``rounding(ideal[i] * 2**frac_bits)``.  ``taps``
@@ -77,29 +72,23 @@ class WeightVector:
     non-negative int weights with a positive sum.
     """
 
-    raw: tuple[int, ...]
-    ideal: tuple[float, ...]
-    qformat: QFormat
-    params: GammaParams
-    rounding: RoundingMode = "half-up"
-    sample_offset: float = 0.0
-    taps: int = field(init=False)
-    raw_sum: int = field(init=False)
+    _fields = ("raw", "ideal", "qformat", "params", "rounding", "sample_offset", "taps", "raw_sum")
 
-    def __post_init__(self):
-        raw = tuple(self.raw)
+    def __init__(self, raw: tuple[int, ...], ideal: tuple[float, ...], qformat: QFormat,
+                 params: GammaParams, rounding: RoundingMode = "half-up",
+                 sample_offset: float = 0.0):
+        raw = tuple(raw)
         if not all(isinstance(w, int) and w >= 0 for w in raw):
             raise ValueError(f"raw weights must be non-negative ints, got {raw}")
         raw_sum = sum(raw)
         if raw_sum <= 0:
             raise ValueError(
                 f"all {len(raw)} weights quantized to zero at "
-                f"frac_bits={self.qformat.frac_bits}; "
+                f"frac_bits={qformat.frac_bits}; "
                 "increase frac_bits or change the distribution parameters"
             )
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "taps", len(raw))
-        object.__setattr__(self, "raw_sum", raw_sum)
+        vars(self).update(raw=raw, ideal=ideal, qformat=qformat, params=params, rounding=rounding,
+                          sample_offset=sample_offset, taps=len(raw), raw_sum=raw_sum)
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,25 +9,24 @@ in double precision for quantization-error comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import MODE_NORMALIZED, MODE_RAW, MODES
+from .fixed_point import Record
 from .gamma_weights import GammaParams, WeightVector, gamma_pdf
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Element-wise comparison outcome; a mismatch is |difference| not <= bound."""
 
-    max_abs_error: float
-    mismatch_count: int
-    first_mismatch_index: int | None
-    bound_used: float
+    _fields = ("max_abs_error", "mismatch_count", "first_mismatch_index", "bound_used")
 
-    def __post_init__(self):
-        if (self.mismatch_count == 0) != (self.first_mismatch_index is None):
+    def __init__(self, max_abs_error: float, mismatch_count: int,
+                 first_mismatch_index: int | None, bound_used: float):
+        if (mismatch_count == 0) != (first_mismatch_index is None):
             raise ValueError("mismatch_count and first_mismatch_index disagree")
+        vars(self).update(max_abs_error=max_abs_error, mismatch_count=mismatch_count,
+                          first_mismatch_index=first_mismatch_index, bound_used=bound_used)
 
 
 def oracle_exact(

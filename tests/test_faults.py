@@ -1,5 +1,6 @@
 """Fault reports checked against their documented guarantees and the oracle."""
 
+import json
 from unittest import mock
 
 import pytest
@@ -50,6 +51,26 @@ def test_sweep_entries_are_the_reports_of_their_specs(case):
     assert result["aggregate"]["count"] == 2
     assert result["aggregate"]["max_deviation"] == max(deviations)
     assert result["aggregate"]["all_bounds_satisfied"] is True
+
+
+class Index:
+    """An integer only through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_a_spec_stores_the_ints_it_checked():
+    config, stream = make_config(taps=4), [5, 9, 7, 3, 100, 0, 64, 127]
+    spec = FaultSpec("spike", Index(2), Index(3), Index(100))
+    assert spec == FaultSpec("spike", 2, 3, 100)
+    assert [type(v) for v in vars(spec).values()] == [str, int, int, int]
+    assert sweep([spec], config, [stream]) == sweep([FaultSpec("spike", 2, 3, 100)], config, [stream])
+    report = sweep([FaultSpec("stuck", True)], config, [stream])["reports"][0]
+    assert json.dumps(report["spec"]) == '{"kind": "stuck", "start": 1, "duration": 1, "magnitude": 0}'
 
 
 @settings(max_examples=150, deadline=None)

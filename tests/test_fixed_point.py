@@ -1,11 +1,13 @@
+import math
 import random
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gdswu.fixed_point import QFormat, mac_exact, round_scaled
+from gdswu.fixed_point import ROUNDING_MODES, QFormat, mac_exact, round_scaled
 
 Q0_7 = QFormat(0, 7)
 Q1_7 = QFormat(1, 7)
@@ -19,6 +21,12 @@ def decimal_half_up(v: float, frac_bits: int) -> int:
     )
 
 
+def fraction_round(v, frac_bits: int, rounding: str) -> int:
+    """Reference rounding of ``v * 2**frac_bits`` in rational arithmetic."""
+    y = Fraction(v) * (1 << frac_bits)
+    return math.floor(y + Fraction(1, 2)) if rounding == "half-up" else round(y)
+
+
 class TestQFormat:
     def test_range(self):
         assert SAMPLE7.max_raw == 127
@@ -28,7 +36,8 @@ class TestQFormat:
         q = QFormat(3, 5)
         assert q.max_raw == 255
         assert QFormat(64, 0).max_raw == 2**64 - 1
-        assert q == QFormat(3, 5) and hash(q) == hash(QFormat(3, 5))
+        assert q == QFormat(3, 5) and hash(q) == hash(QFormat(3, 5)) == hash((3, 5))
+        assert vars(q) == {"int_bits": 3, "frac_bits": 5, "max_raw": 255}
         assert q != QFormat(5, 3)
         assert repr(q) == "QFormat(int_bits=3, frac_bits=5)"
 
@@ -71,6 +80,28 @@ class TestQuantize:
     @given(v=st.floats(0, 1.99, allow_nan=False))
     def test_half_up_matches_decimal_path(self, v):
         assert round_scaled(v, Q1_7.frac_bits) == decimal_half_up(v, 7)
+
+    @given(
+        v=st.floats(allow_nan=False, allow_infinity=False),
+        frac_bits=st.integers(0, 65),
+        rounding=st.sampled_from(ROUNDING_MODES),
+    )
+    def test_matches_the_fraction_path(self, v, frac_bits, rounding):
+        # every finite double: subnormals, negatives and values up to 1.8e308
+        assert round_scaled(v, frac_bits, rounding) == fraction_round(v, frac_bits, rounding)
+
+    @given(
+        k=st.integers(-(2**53), 2**53),
+        j=st.integers(0, 70),
+        tie=st.booleans(),
+        frac_bits=st.integers(0, 65),
+        rounding=st.sampled_from(ROUNDING_MODES),
+    )
+    def test_matches_the_fraction_path_at_ties(self, k, j, tie, frac_bits, rounding):
+        # k / 2**j scaled by 2**(j - 1) is a tie whenever k is odd
+        v = math.ldexp(k, -j)
+        bits = max(j - 1, 0) if tie else frac_bits
+        assert round_scaled(v, bits, rounding) == fraction_round(v, bits, rounding)
 
     @given(
         v1=st.floats(0, 500, allow_nan=False),

@@ -7,6 +7,7 @@ show up only in the benchmark.
 """
 
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -58,6 +59,31 @@ def test_importing_the_package_loads_neither_the_oracle_nor_the_cli():
             "assert not loaded, loaded")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_the_setup_probe_loads_only_the_config_modules():
+    # Neither dataclasses (it imports inspect, ast, dis and tokenize) nor
+    # fractions (it imports decimal), nor a submodule the probe does not
+    # call; the lazy names still resolve, and the CLI loads no inspect.
+    code = (
+        "import sys\n"
+        "import gdswu\n"
+        "gdswu.make_config()\n"
+        "heavy = {'dataclasses', 'fractions', 'inspect', 'gdswu.faults', 'gdswu.systolic'}\n"
+        "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
+        "assert gdswu.FaultSpec.__module__ == 'gdswu.faults'\n"
+        "assert gdswu.build_pipeline.__module__ == 'gdswu.systolic'\n"
+        "import gdswu.cli\n"
+        "assert not {'inspect', 'dataclasses'} & set(sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_the_config_keys_are_the_make_config_parameters():
+    # cli builds _CONFIG_TYPES from make_config's code object, without inspect
+    parameters = inspect.signature(gdswu.make_config).parameters.values()
+    assert gdswu.cli._CONFIG_TYPES == {p.name: type(p.default) for p in parameters}
 
 
 def test_the_config_and_weight_attributes_the_workloads_read_resolve():
