@@ -19,7 +19,6 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from itertools import chain, repeat
-from operator import itemgetter
 
 from .core import (
     MODES,
@@ -29,7 +28,7 @@ from .core import (
     make_config,
     step_response,
 )
-from .csv_rows import numbered_rows
+from .csv_rows import _TABLE_ROWS_PER_VALUE, numbered_rows, value_table
 from .faults import FAULT_KINDS, FaultSpec, sweep
 from .fixed_point import ROUNDING_MODES
 from .systolic import (
@@ -44,11 +43,6 @@ from .systolic import (
 # reports compare against them without forcing a match.
 HW_REPORTED_STEP_STEADY = 0x3A
 HW_CLAIMED_OPS_PER_CYCLE = 22
-
-# Rows per value of 0..max_raw before _parse_fast parses by a str -> int
-# table: an entry costs about one int() to build (break-even near 3 rows
-# per value), and a 64-bit sample format never builds its 2**64 entries.
-_TABLE_ROWS_PER_VALUE = 8
 
 # Config keys and their value types, from the parameters of make_config,
 # each of which has a default.
@@ -255,10 +249,13 @@ def _print_json(obj: dict, path: str) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_run_csv(fh, rows) -> None:
-    """The run CSV of ``rows``, an iterator of (input, output), indexed from 0."""
+def _write_run_csv(fh, inputs, outputs, rows: int, top: int) -> None:
+    """The run CSV of ``rows`` rows of ``inputs`` and ``outputs``, indexed
+    from 0; every value lies in ``0..top``.  The columns are read a block
+    of a thousand rows at a time, through a table of each value's text
+    where there are enough rows per value (``csv_rows.value_table``)."""
     fh.write("index,input,output\n")
-    fh.writelines(numbered_rows(0, rows))
+    fh.writelines(numbered_rows(0, inputs, outputs, rows, table=value_table(top, rows)))
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
@@ -271,7 +268,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
     samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     outputs = GammaWindowFilter(config).run(samples)
     with _open_out(ns.output) as fh:
-        _write_run_csv(fh, zip(samples, outputs))
+        # raw mode clamps, so every output lies in 0..max_raw too
+        _write_run_csv(fh, samples, outputs, len(samples), config.sample_format.max_raw)
     return 0
 
 
@@ -289,11 +287,11 @@ def cmd_step(ns: argparse.Namespace) -> int:
     # the window is full from the taps-th sample on, so later outputs repeat
     outputs = step_response(config, ns.seed, min(length, config.taps))
     steady = outputs[-1]
-    pairs = zip(repeat(ns.seed), chain(outputs, repeat(steady)))
-    # a range bounds the rows: repeat(x, n) and islice(it, n) refuse n > sys.maxsize
-    rows = map(itemgetter(1), zip(range(length), pairs))
+    # endless columns: the row count bounds them, since repeat(x, n) and
+    # islice(it, n) refuse n > sys.maxsize
     with _open_out(ns.output) as fh:
-        _write_run_csv(fh, rows)
+        _write_run_csv(fh, repeat(ns.seed), chain(outputs, repeat(steady)), length,
+                       config.sample_format.max_raw)
     summary = {
         "mode": config.mode,
         "seed": ns.seed,
@@ -325,7 +323,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     _, trace = run_pipeline(model, samples)
     with _open_out(ns.output) as fh:
         fh.write(",".join(CYCLE_CSV_HEADER) + "\n")
-        fh.writelines(cycle_csv_blocks(trace))
+        fh.writelines(cycle_csv_blocks(trace, config.sample_format.max_raw))
     ops = trace.steady_ops()
     total = None if ops is None else sum(ops.values())
     footer = {

@@ -1,36 +1,69 @@
-"""Numbered CSV rows, formatted a thousand at a time.
+"""Numbered CSV rows of two int columns, joined a thousand rows at a time.
 
 Rows ``1000p`` to ``1000p + 999`` share the number prefix ``str(p)``, so a
-block of them is one template, ``str(p)`` joined before precomputed rows
-for the last three digits, formatted with one ``%`` over the block's
-values.  Block 0 uses unpadded rows.  The run, step and cycle CSVs all
-write their numbered rows this way.
+row's number is that prefix and a shared ``"kkk,"`` suffix for its last
+three digits (unpadded in block 0).  A block of rows is one string.
+
+Every value of both columns lies in ``0..top``.  Where there are enough
+rows per value (``value_table``), a block is one ``"".join`` of strings
+that already exist: the prefix, the suffix and each value's entry of a
+per-call table of ``f"{v},"`` and ``f"{v}{end}"``, with no int formatted
+per row.  Otherwise a block is one ``%d`` template, the prefix and the
+suffixes joined around ``%d,%d`` fields, formatted with one ``%`` over the
+block's values.  The run, step and cycle CSVs all write their numbered
+rows this way.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator
 
-# A row's number after its block prefix, then its two values.
-_THOUSAND = tuple(f"{k:03d},%d,%d" for k in range(1000))
-_FIRST_THOUSAND = tuple(f"{k},%d,%d" for k in range(1000))
+# Rows per value of 0..top before a table of the values' text pays: an
+# entry costs about one int() or one %d to build (break-even near 3 rows
+# per value), and a 64-bit sample format never builds its 2**64 entries.
+# The CLI's parse uses the same rule for its str -> int table.
+_TABLE_ROWS_PER_VALUE = 8
+
+# A row's number after its block prefix.
+_THOUSAND = tuple(f"{k:03d}," for k in range(1000))
+_FIRST_THOUSAND = tuple(f"{k}," for k in range(1000))
 
 
-def numbered_rows(first: int, pairs: Iterable[tuple[int, int]], end: str = "\n") -> Iterator[str]:
-    """The text of rows ``first``, ``first + 1``, ...: each the row's number,
-    the two ints of its item of ``pairs``, then ``end``, which holds no
-    ``%``.  One string per block of a thousand numbers; ``pairs`` is read
-    a block at a time, so it may be an endless iterator.
+def value_table(top: int, rows: int, end: str = "\n") -> tuple[list[str], list[str]] | None:
+    """The input and output text, ``f"{v},"`` and ``f"{v}{end}"``, of each
+    ``v`` in ``0..top``; None when ``rows`` rows are too few to pay for it."""
+    if (top + 1) * _TABLE_ROWS_PER_VALUE > rows:
+        return None
+    return [f"{v}," for v in range(top + 1)], [f"{v}{end}" for v in range(top + 1)]
+
+
+def numbered_rows(first: int, xs: Iterable[int], ys: Iterable[int], rows: int,
+                  end: str = "\n", table: tuple[list[str], list[str]] | None = None,
+                  ) -> Iterator[str]:
+    """The text of rows ``first`` to ``first + rows - 1``: each the row's
+    number, its items of ``xs`` and ``ys``, then ``end``, which holds no
+    ``%``.  ``table`` is ``value_table(top, ..., end)`` for a ``top`` at
+    least every value, or None for the ``%d`` template.  One string per
+    block of a thousand numbers; the columns are read a block at a time,
+    so they may be endless iterators.
     """
-    pairs = iter(pairs)
-    n = first
-    while True:
+    xs, ys = iter(xs), iter(ys)
+    n, stop = first, first + rows
+    while n < stop:
         p, k = divmod(n, 1000)
-        fields = tuple(chain.from_iterable(islice(pairs, 1000 - k)))
-        if not fields:
-            return
-        rows = len(fields) // 2
-        prefix, block = (str(p), _THOUSAND) if p else ("", _FIRST_THOUSAND)
-        yield (prefix + (end + prefix).join(block[k:k + rows]) + end) % fields
-        n += rows
+        m = min(1000 - k, stop - n)
+        prefix, suffixes = (str(p), _THOUSAND) if p else ("", _FIRST_THOUSAND)
+        if table is None:
+            fields = [0] * (2 * m)
+            fields[::2] = islice(xs, m)
+            fields[1::2] = islice(ys, m)
+            rest = "%d,%d" + end
+            yield (prefix + (rest + prefix).join(suffixes[k:k + m]) + rest) % tuple(fields)
+        else:
+            parts = [prefix] * (4 * m)
+            parts[1::4] = suffixes[k:k + m]
+            parts[2::4] = map(table[0].__getitem__, islice(xs, m))
+            parts[3::4] = map(table[1].__getitem__, islice(ys, m))
+            yield "".join(parts)
+        n += m

@@ -37,6 +37,7 @@ at the fault's start.
 from __future__ import annotations
 
 import operator
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .core import FilterConfig, GammaWindowFilter, MODE_NORMALIZED, check_sample
@@ -78,18 +79,6 @@ def inject(samples: Sequence[int], spec: FaultSpec) -> list[int]:
     out = list(samples)
     out[spec.start : spec.end] = [spec.replacement_value] * spec.duration
     return out
-
-
-def analytic_deviation_bound(config: FilterConfig, spec: FaultSpec, delta_max: int) -> int:
-    """Worst single-output deviation a fault with per-sample delta_max can cause."""
-    weights = config.weights
-    k = min(spec.duration, config.taps)
-    top = sum(sorted(weights.raw, reverse=True)[:k])
-    if config.mode == MODE_NORMALIZED:
-        divisor = weights.raw_sum
-    else:
-        divisor = 1 << weights.qformat.frac_bits
-    return -(-top * delta_max // divisor) + 1
 
 
 def attenuation_report(
@@ -149,13 +138,18 @@ def sweep(
         joined += [level] * spec.duration + clean[spec.end:hi]
     joined_out = GammaWindowFilter(config).run(joined) if spans else []
 
+    # the analytic bound of each spec (see the module note): tops[k - 1] is
+    # the sum of the k largest raw weights
+    weights = config.weights
+    tops = list(accumulate(sorted(weights.raw, reverse=True)))
+    divisor = weights.raw_sum if config.mode == MODE_NORMALIZED else 1 << weights.qformat.frac_bits
     reports = []
     for spec, level, hi, at in spans:
         faulty_out = joined_out[at : at + hi - spec.start]
         deviations = list(map(abs, map(operator.sub, faulty_out, clean_out[spec.start : hi])))
         max_deviation = max(deviations)
         delta_max = max(abs(level - operator.index(x)) for x in clean[spec.start : spec.end])
-        bound = analytic_deviation_bound(config, spec, delta_max)
+        bound = -(-tops[min(spec.duration, taps) - 1] * delta_max // divisor) + 1
         # the outputs agree for good after the last deviation
         changed = len(deviations)
         while changed and not deviations[changed - 1]:

@@ -40,9 +40,12 @@ latency steps, and a steady stretch is a single run: the change-only idea
 of a value change dump (IEEE Std 1364-2005, clause 18).  The facts of a
 pattern are the stage plan's, made once per pipeline on first use: its
 ops, counted by popcount over one bit mask per distinct stage op triple,
-and its occupancy tuple.  The cycle CSV is formatted a run at a time and
-reads only the ops.  Per-tick ``CycleReport`` views, for tests and checks
-only, carry four fields, and the views of one pattern share its tuple.
+and its occupancy tuple.  The cycle CSV reads only the columns and the
+ops: ``csv_rows`` joins an all-busy stretch of runs a thousand rows at a
+time, from one table of value strings per call where it pays, and any
+other tick gets a row of its own.  Per-tick ``CycleReport`` views, for
+tests and checks only, carry four fields, and the views of one pattern
+share its tuple.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
@@ -67,7 +70,7 @@ from itertools import chain, count, groupby, islice, repeat
 from typing import Iterator
 
 from .core import FilterConfig, GammaWindowFilter
-from .csv_rows import numbered_rows
+from .csv_rows import numbered_rows, value_table
 
 ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
 OPS: tuple[str, ...] = ("multiply", "add", "normalize")
@@ -220,24 +223,30 @@ class CycleReport:
 CYCLE_CSV_HEADER = ("cycle", "input", "output", "mult_ops", "add_ops", "other_ops")
 
 
-def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
+def cycle_csv_blocks(trace: CycleTrace, top: int) -> Iterator[str]:
     """The cycle-CSV rows of ``trace``, each ending in ``\\n``, a block at a time.
 
-    Idle inputs and outputs are empty fields.  A stretch of runs with every
-    stage busy consumed and emitted on each of its ticks, so
-    ``numbered_rows`` formats it a thousand rows at a time.  Any other
-    stretch gets one row per tick, up to a thousand rows per block.
+    Every input and output lies in ``0..top``; idle ones are empty fields.
+    A stretch of runs with every stage busy consumed and emitted on each
+    of its ticks, so ``numbered_rows`` joins it a thousand rows at a time,
+    through one value table per call where the trace has enough rows per
+    value.  Any other stretch gets one row per tick, up to a thousand rows
+    per block, its values formatted with ``%d`` as the busy rows' are.
     """
     plan, inputs, outputs = trace.plan, trace.inputs, trace.outputs
     full = plan.full
     texts = {}  # the ops columns of each ops triple
+    busy_end = table = None  # made for the first busy stretch, shared by the rest
     tick = 0
     for busy, group in groupby(trace.runs, lambda run: run[0] == full):
         patterns, lengths = zip(*group)
         stop = tick + sum(lengths)
         if busy:
-            pairs = zip(inputs[tick:stop], outputs[tick:stop])
-            yield from numbered_rows(trace.first_cycle + tick, pairs, ",%d,%d,%d\n" % plan[full])
+            if busy_end is None:
+                busy_end = ",%d,%d,%d\n" % plan[full]
+                table = value_table(top, len(inputs), busy_end)
+            yield from numbered_rows(trace.first_cycle + tick, inputs[tick:stop],
+                                     outputs[tick:stop], stop - tick, busy_end, table)
         else:
             triples = list(map(plan.__getitem__, patterns))
             texts.update((ops, ",%d,%d,%d\n" % ops) for ops in set(triples) - texts.keys())
@@ -245,7 +254,7 @@ def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
             for lo in range(tick, stop, 1000):
                 hi = min(lo + 1000, stop)
                 yield "".join([
-                    f"{c},{'' if x is None else x},{'' if y is None else y}{end}"
+                    f"{c},{'' if x is None else '%d' % x},{'' if y is None else '%d' % y}{end}"
                     for c, x, y, end in zip(count(trace.first_cycle + lo), inputs[lo:hi],
                                             outputs[lo:hi], islice(ends, hi - lo))
                 ])

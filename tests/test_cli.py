@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 from gdswu import cli
 from gdswu.cli import DataError, main
 from gdswu.core import make_config, step_response
+from gdswu.csv_rows import value_table
 from gdswu.gamma_weights import MAX_TAPS
 from gdswu.oracle import oracle_exact
+from reference_systolic import build_reference, run_reference
 from strategies import configs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -658,7 +661,7 @@ def _run_csv(rows):
     samples = [(7 * i) % 128 for i in range(rows)]
     outputs = [(i * i) % 128 for i in range(rows)]
     fh = io.StringIO()
-    cli._write_run_csv(fh, zip(samples, outputs))
+    cli._write_run_csv(fh, samples, outputs, rows, 127)
     return fh.getvalue(), _f_string_rows(samples, outputs)
 
 
@@ -683,6 +686,77 @@ def test_a_step_csv_past_one_block(tmp_path):
     assert main(argv) == 0
     outputs = step_response(make_config(), 0x3A, length)
     assert path.read_text(encoding="utf-8") == _f_string_rows([0x3A] * length, outputs)
+
+
+WIDE_SAMPLE_FLAGS = ["--sample-int-bits", "20"]
+
+
+def _wide_stream(rows):
+    # 20-bit samples, the largest and least included
+    rng = random.Random(20)
+    return [rng.choice([0, 2**20 - 1, rng.randint(0, 2**20 - 1)]) for _ in range(rows)]
+
+
+def _oracle_outputs(samples, mode):
+    config = make_config(sample_int_bits=20, mode=mode)
+    w = config.weights
+    return oracle_exact(samples, w.raw, w.raw_sum, mode, w.qformat.frac_bits,
+                        config.sample_format.max_raw)
+
+
+@pytest.mark.parametrize("mode", ["normalized-average", "raw-accumulate"])
+def test_a_20_bit_run_csv_formats_each_value_with_d(tmp_path, csv_file, mode):
+    # 2**20 values need 8 Mi rows before their table pays, so every block
+    # goes through the %d template
+    rows = 3001
+    assert value_table(2**20 - 1, rows) is None
+    samples = _wide_stream(rows)
+    path = tmp_path / "run.csv"
+    argv = ["run", csv_file(samples), *WIDE_SAMPLE_FLAGS, "--mode", mode, "-o", str(path)]
+    assert main(argv) == 0
+    want = _f_string_rows(samples, _oracle_outputs(samples, mode))
+    assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("architecture", ["tree", "chain"])
+@pytest.mark.parametrize("mode", ["normalized-average", "raw-accumulate"])
+def test_a_20_bit_cycle_csv_formats_each_value_with_d(tmp_path, csv_file, mode, architecture):
+    rows = 2500
+    samples = _wide_stream(rows)
+    outputs = _oracle_outputs(samples, mode)
+    config = make_config(sample_int_bits=20, mode=mode)
+    reports = run_reference(build_reference(config, architecture), samples)[1]
+    lead = len(reports) - rows  # latency - 1 ticks before the first output
+    want = "".join(
+        f"{t + 1},{samples[t] if t < rows else ''},{outputs[t - lead] if t >= lead else ''},"
+        f"{r.ops['multiply']},{r.ops['add']},{r.ops['normalize']}\n"
+        for t, r in enumerate(reports)
+    )
+    path = tmp_path / "cycles.csv"
+    argv = ["simulate", csv_file(samples), *WIDE_SAMPLE_FLAGS, "--mode", mode,
+            "--architecture", architecture, "-o", str(path), "--summary", os.devnull]
+    assert main(argv) == 0
+    assert path.read_text(encoding="utf-8") == "cycle,input,output,mult_ops,add_ops,other_ops\n" + want
+
+
+@pytest.mark.parametrize("bits", [7, 20], ids=["table", "%d"])
+def test_a_run_csv_holds_one_block_in_memory(tmp_path, bits):
+    # The whole text of 65,536 rows is over 0.8 MB, and a list of its
+    # parts over 2 MB; a block of a thousand rows is a few tens of kB.
+    rows, top = 65536, 2**bits - 1
+    rng = random.Random(bits)
+    samples = [rng.randint(0, top) for _ in range(rows)]
+    outputs = [rng.randint(0, top) for _ in range(rows)]
+    path = tmp_path / "run.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            cli._write_run_csv(fh, samples, outputs, rows, top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+    assert path.read_text(encoding="utf-8") == _f_string_rows(samples, outputs)
 
 
 RUN_TAPS_4_RAW = """\

@@ -15,13 +15,13 @@ pipeline too, which keeps the gate's memory flat.
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdswu.cli
 from gdswu import systolic
 from gdswu.core import make_config
-from gdswu.csv_rows import numbered_rows
+from gdswu.csv_rows import numbered_rows, value_table
 from gdswu.systolic import ARCHITECTURES, OPS, CycleTrace, build_pipeline, run_pipeline
 from reference_systolic import build_reference, cycle_csv_lines, expand_trace, run_reference
 from strategies import configs
@@ -73,12 +73,54 @@ def test_the_cycle_csv_across_thousand_row_edges(architecture, taps, idle):
 
 
 @settings(max_examples=60, deadline=None)
-@given(first=st.integers(0, 3000), rows=st.integers(0, 2100),
+@given(first=st.one_of(st.sampled_from([999, 1000, 2000]), st.integers(0, 3000)),
+       rows=st.integers(0, 2100), top=st.sampled_from([0, 127, 2**64 - 1]),
        end=st.sampled_from(["\n", ",64,63,1\n"]))
-def test_numbered_rows_match_rows_formatted_one_at_a_time(first, rows, end):
-    pairs = [(i % 128, (i * i) % 1000) for i in range(rows)]
-    want = "".join(f"{first + i},{x},{y}{end}" for i, (x, y) in enumerate(pairs))
-    assert "".join(numbered_rows(first, pairs, end)) == want
+@example(first=999, rows=1100, top=127, end="\n")  # the table, across 1,000
+@example(first=1000, rows=1023, top=127, end="\n")  # one row short of the table
+@example(first=2000, rows=8, top=0, end=",64,63,1\n")  # the table at its least rows
+@example(first=999, rows=1002, top=2**64 - 1, end="\n")  # %d, across 1,000 and 2,000
+def test_numbered_rows_match_rows_formatted_one_at_a_time(first, rows, top, end):
+    # values up to top, the largest ones included; the table pays from
+    # (top + 1) * 8 rows on
+    xs = [(i * 0x9E3779B97F4A7C15 + top) % (top + 1) for i in range(rows)]
+    ys = [(i * i) % (top + 1) for i in range(rows)]
+    table = value_table(top, rows, end)
+    assert (table is None) == ((top + 1) * 8 > rows)
+    want = "".join(f"{first + i},{x},{y}{end}" for i, (x, y) in enumerate(zip(xs, ys)))
+    assert "".join(numbered_rows(first, xs, ys, rows, end, table)) == want
+    assert "".join(numbered_rows(first, iter(xs), iter(ys), rows, end, table)) == want
+
+
+class _Index:
+    """A sample that is an int only through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("length", [12, 2100], ids=["%d", "table"])
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_a_bool_or_index_sample_prints_as_its_int_on_any_tick(architecture, length):
+    # A bool and an __index__ sample on the fill ticks, on busy ticks, and
+    # on the ticks after an idle one; each row prints the int, as the row
+    # of the same stream of ints does.
+    config = make_config(taps=2)
+    ints = [(7 * i) % 128 for i in range(length)]
+    for i in (0, 1, 6, 7, 9, 10):
+        ints[i] = 1 if i % 3 == 0 else 7
+    ints[8] = None
+    mixed = [True if x == 1 else _Index(7) if x == 7 else x for x in ints]
+    traces = [run_pipeline(build_pipeline(config, architecture), stream)[1]
+              for stream in (mixed, ints)]
+    busy = {t for t, view in enumerate(traces[0]) if all(view.stage_occupancy)}
+    assert {0, 1, 9, 10}.isdisjoint(busy) and {6, 7} <= busy
+    got, want = (cycle_csv_lines(trace, 127) for trace in traces)
+    assert got == want
+    assert [row.split(",")[1] for row in got.splitlines()[:2]] == ["1", "7"]
 
 
 def _bump_last_output(trace):
