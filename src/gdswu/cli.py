@@ -28,7 +28,7 @@ from .core import (
     make_config,
     step_response,
 )
-from .csv_rows import _TABLE_ROWS_PER_VALUE, numbered_rows, value_table
+from .csv_rows import numbered_rows, table_pays, value_table, value_texts
 from .faults import FAULT_KINDS, FaultSpec, sweep
 from .fixed_point import ROUNDING_MODES
 from .systolic import (
@@ -150,8 +150,8 @@ def _parse_fast(text: str, has_header: bool, max_raw: int) -> list[int] | None:
     ``limit`` characters can trip the test too; the ``csv`` path then gives
     the same samples.
 
-    When there are at least ``_TABLE_ROWS_PER_VALUE`` rows per value in
-    ``0..max_raw``, each line is looked up in a table from ``str(v)`` to
+    When the lines pay for a table of ``0..max_raw``
+    (``csv_rows.table_pays``), each line is looked up in a table from ``str(v)`` to
     ``v``.  A hit means the line is exactly ``str(v)``, which ``int`` also
     reads as ``v``, and every table value is in range.  Any miss (``+5``,
     `` 5``, ``007``, ``1_0``, ``-0``, non-ASCII digits, an out-of-range
@@ -168,7 +168,7 @@ def _parse_fast(text: str, has_header: bool, max_raw: int) -> list[int] | None:
         lines.pop()
     if has_header:
         del lines[:1]
-    if (max_raw + 1) * _TABLE_ROWS_PER_VALUE <= len(lines):
+    if table_pays(max_raw, len(lines)):
         table = {str(v): v for v in range(max_raw + 1)}
         with suppress(KeyError):
             return list(map(table.__getitem__, lines))
@@ -249,13 +249,13 @@ def _print_json(obj: dict, path: str) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_run_csv(fh, inputs, outputs, rows: int, top: int) -> None:
+def _write_run_csv(fh, inputs, outputs, rows: int, table) -> None:
     """The run CSV of ``rows`` rows of ``inputs`` and ``outputs``, indexed
-    from 0; every value lies in ``0..top``.  The columns are read a block
-    of a thousand rows at a time, through a table of each value's text
-    where there are enough rows per value (``csv_rows.value_table``)."""
+    from 0.  The columns are read a block of a thousand rows at a time,
+    each value looked up in ``table``, a ``csv_rows.value_texts`` or
+    ``value_table``, or formatted with ``%d`` where it is None."""
     fh.write("index,input,output\n")
-    fh.writelines(numbered_rows(0, inputs, outputs, rows, table=value_table(top, rows)))
+    fh.writelines(numbered_rows(0, inputs, outputs, rows, table=table))
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
@@ -267,9 +267,10 @@ def cmd_run(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
     samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     outputs = GammaWindowFilter(config).run(samples)
+    # raw mode clamps, so every output lies in 0..max_raw too
+    table = value_table(config.sample_format.max_raw, len(samples))
     with _open_out(ns.output) as fh:
-        # raw mode clamps, so every output lies in 0..max_raw too
-        _write_run_csv(fh, samples, outputs, len(samples), config.sample_format.max_raw)
+        _write_run_csv(fh, samples, outputs, len(samples), table)
     return 0
 
 
@@ -288,10 +289,11 @@ def cmd_step(ns: argparse.Namespace) -> int:
     outputs = step_response(config, ns.seed, min(length, config.taps))
     steady = outputs[-1]
     # endless columns: the row count bounds them, since repeat(x, n) and
-    # islice(it, n) refuse n > sys.maxsize
+    # islice(it, n) refuse n > sys.maxsize.  They hold only the seed and
+    # the taps outputs, whatever the length and the sample format.
+    table = value_texts((ns.seed,), outputs)
     with _open_out(ns.output) as fh:
-        _write_run_csv(fh, repeat(ns.seed), chain(outputs, repeat(steady)), length,
-                       config.sample_format.max_raw)
+        _write_run_csv(fh, repeat(ns.seed), chain(outputs, repeat(steady)), length, table)
     summary = {
         "mode": config.mode,
         "seed": ns.seed,

@@ -4,13 +4,15 @@ Rows ``1000p`` to ``1000p + 999`` share the number prefix ``str(p)``, so a
 row's number is that prefix and a shared ``"kkk,"`` suffix for its last
 three digits (unpadded in block 0).  A block of rows is one string.
 
-Every value of both columns lies in ``0..top``.  Where there are enough
-rows per value (``value_table``), a block is one ``"".join`` of strings
-that already exist: the prefix, the suffix and each value's entry of a
-per-call table of ``f"{v},"`` and ``f"{v}{end}"``, with no int formatted
-per row.  Otherwise a block is one ``%d`` template, the prefix and the
-suffixes joined around ``%d,%d`` fields, formatted with one ``%`` over the
-block's values.  The run, step and cycle CSVs all write their numbered
+Given a table of the values' text (``value_texts``), a block is one
+``"".join`` of strings that already exist: the prefix, the suffix and each
+value's entry of the table, ``f"{v},"`` or ``f"{v}{end}"``, with no int
+formatted per row.  A value the table lacks is formatted on lookup, so an
+out-of-range value still prints as ``%d`` prints it.  Without a table a
+block is one ``%d`` template, the prefix and the suffixes joined around
+``%d,%d`` fields, formatted with one ``%`` over the block's values.  A
+table of all of ``0..top`` pays only with enough rows per value
+(``table_pays``).  The run, step and cycle CSVs all write their numbered
 rows this way.
 """
 
@@ -22,7 +24,6 @@ from typing import Iterable, Iterator
 # Rows per value of 0..top before a table of the values' text pays: an
 # entry costs about one int() or one %d to build (break-even near 3 rows
 # per value), and a 64-bit sample format never builds its 2**64 entries.
-# The CLI's parse uses the same rule for its str -> int table.
 _TABLE_ROWS_PER_VALUE = 8
 
 # A row's number after its block prefix.
@@ -30,21 +31,49 @@ _THOUSAND = tuple(f"{k:03d}," for k in range(1000))
 _FIRST_THOUSAND = tuple(f"{k}," for k in range(1000))
 
 
-def value_table(top: int, rows: int, end: str = "\n") -> tuple[list[str], list[str]] | None:
-    """The input and output text, ``f"{v},"`` and ``f"{v}{end}"``, of each
-    ``v`` in ``0..top``; None when ``rows`` rows are too few to pay for it."""
-    if (top + 1) * _TABLE_ROWS_PER_VALUE > rows:
+def table_pays(top: int, rows: int) -> bool:
+    """Whether ``rows`` rows pay for a table of each value in ``0..top``,
+    the text of a CSV's values or the ints of a parse's lines."""
+    return (top + 1) * _TABLE_ROWS_PER_VALUE <= rows
+
+
+class _Texts(dict):
+    """``f"{v}{end}"`` by value ``v``; a value with no entry is formatted
+    with ``%d`` on lookup, and not kept."""
+
+    __slots__ = ("end",)
+
+    def __init__(self, values: Iterable[int], end: str):
+        super().__init__((v, f"{v}{end}") for v in values)
+        self.end = end
+
+    def __missing__(self, v) -> str:
+        return "%d" % v + self.end
+
+
+def value_texts(xs: Iterable[int], ys: Iterable[int], end: str = "\n") -> tuple[_Texts, _Texts]:
+    """The input text ``f"{v},"`` of each ``v`` in ``xs`` and the output
+    text ``f"{v}{end}"`` of each ``v`` in ``ys``, as ``numbered_rows``
+    looks them up."""
+    return _Texts(xs, ","), _Texts(ys, end)
+
+
+def value_table(top: int, rows: int, end: str = "\n") -> tuple[_Texts, _Texts] | None:
+    """``value_texts`` of every value in ``0..top`` for ``rows`` rows; None
+    when they are too few to pay for it (``table_pays``)."""
+    if not table_pays(top, rows):
         return None
-    return [f"{v}," for v in range(top + 1)], [f"{v}{end}" for v in range(top + 1)]
+    values = range(top + 1)
+    return value_texts(values, values, end)
 
 
 def numbered_rows(first: int, xs: Iterable[int], ys: Iterable[int], rows: int,
-                  end: str = "\n", table: tuple[list[str], list[str]] | None = None,
+                  end: str = "\n", table: tuple[_Texts, _Texts] | None = None,
                   ) -> Iterator[str]:
     """The text of rows ``first`` to ``first + rows - 1``: each the row's
     number, its items of ``xs`` and ``ys``, then ``end``, which holds no
-    ``%``.  ``table`` is ``value_table(top, ..., end)`` for a ``top`` at
-    least every value, or None for the ``%d`` template.  One string per
+    ``%``.  ``table`` is ``value_texts(..., end)`` or ``value_table(...,
+    end)``, or None for the ``%d`` template.  One string per
     block of a thousand numbers; the columns are read a block at a time,
     so they may be endless iterators.
     """

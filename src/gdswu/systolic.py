@@ -226,12 +226,14 @@ CYCLE_CSV_HEADER = ("cycle", "input", "output", "mult_ops", "add_ops", "other_op
 def cycle_csv_blocks(trace: CycleTrace, top: int) -> Iterator[str]:
     """The cycle-CSV rows of ``trace``, each ending in ``\\n``, a block at a time.
 
-    Every input and output lies in ``0..top``; idle ones are empty fields.
-    A stretch of runs with every stage busy consumed and emitted on each
-    of its ticks, so ``numbered_rows`` joins it a thousand rows at a time,
-    through one value table per call where the trace has enough rows per
-    value.  Any other stretch gets one row per tick, up to a thousand rows
-    per block, its values formatted with ``%d`` as the busy rows' are.
+    Inputs and outputs print as ``%d`` prints them; idle ones are empty
+    fields.  A stretch of runs with every stage busy consumed and emitted
+    on each of its ticks, so ``numbered_rows`` joins it a thousand rows at
+    a time, through one table of the text of ``0..top`` per call where the
+    trace has enough rows per value; a value the table lacks, say an
+    output edited past ``top``, is formatted on lookup.  Any other stretch
+    gets one row per tick, up to a thousand rows per block, its values
+    formatted with ``%d``.
     """
     plan, inputs, outputs = trace.plan, trace.inputs, trace.outputs
     full = plan.full

@@ -10,10 +10,8 @@ are the specification it is tested against.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 from gdswu.core import MODE_NORMALIZED, FilterConfig, check_sample
@@ -157,16 +155,10 @@ class ChainPipeline:
         return output, CycleReport(self._cycle, sample, output, ops, occupancy)
 
 
-def cycle_csv_lines(trace, top=None) -> str:
-    """The cycle-CSV rows of a package ``CycleTrace``, each ending in ``\\n``.
-
-    ``top`` defaults to the largest value the trace holds, the least that
-    the writer accepts, so a long enough trace is written through its value
-    table.
-    """
-    if top is None:
-        values = [v for v in chain(trace.inputs, trace.outputs) if v is not None]
-        top = max(map(operator.index, values), default=0)
+def cycle_csv_lines(trace, top=127) -> str:
+    """The cycle-CSV rows of a package ``CycleTrace``, each ending in ``\\n``,
+    through a table of ``0..top`` (the default 7-bit format's) once the
+    trace is long enough."""
     return "".join(cycle_csv_blocks(trace, top))
 
 

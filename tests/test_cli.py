@@ -20,10 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gdswu import cli
+from gdswu import cli, csv_rows
 from gdswu.cli import DataError, main
 from gdswu.core import make_config, step_response
-from gdswu.csv_rows import value_table
+from gdswu.csv_rows import table_pays, value_table
 from gdswu.gamma_weights import MAX_TAPS
 from gdswu.oracle import oracle_exact
 from reference_systolic import build_reference, run_reference
@@ -244,6 +244,34 @@ def test_a_huge_step_length_streams_to_a_failed_write(length):
     assert done.stderr == "error: cannot write /dev/full: No space left on device\n"
 
 
+@pytest.mark.parametrize("bits", [24, 32])
+def test_a_huge_wide_step_length_streams_its_rows(bits):
+    # A table of every 24- or 32-bit value's text would not fit the
+    # child's 1 GB address space; the step CSV holds only the seed and the
+    # taps outputs, so its first rows reach the pipe as a 7-bit one's do.
+    top = 2**bits - 1
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from gdswu.cli import main\n"
+        f"sys.exit(main(['step', '--sample-int-bits', '{bits}', '--seed', '{top}',\n"
+        "               '--length', '100000000000000', '--summary', '/dev/null']))\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    ) as child:
+        head = child.stdout.read(1 << 16).decode()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    # the reader closed the pipe early, as `| head` does
+    assert (code, err) == (1, b"")
+    rows = 1 << 13
+    want = _f_string_rows([top] * rows, step_response(make_config(sample_int_bits=bits), top, rows))
+    assert len(head) == 1 << 16 and want.startswith(head)
+
+
 @pytest.mark.parametrize("command", ["run", "simulate"])
 def test_running_out_of_memory_is_one_data_error_line(command):
     # `run` over these 8,000,000 rows peaks at about 300 MB RSS; the
@@ -371,7 +399,8 @@ def test_the_table_path_parses_as_the_csv_rows_do(
 ):
     # enough rows for _parse_fast to look them up in a table of str(v)
     rng = random.Random(seed)
-    least = cli._TABLE_ROWS_PER_VALUE * (max_raw + 1)
+    least = csv_rows._TABLE_ROWS_PER_VALUE * (max_raw + 1)
+    assert table_pays(max_raw, least) and not table_pays(max_raw, least - 1)
     rows = [str(rng.randint(0, max_raw)) for _ in range(least + extra)]
     spelling = data.draw(st.sampled_from((None, *NON_CANONICAL, str(max_raw + 1))))
     if spelling is not None:
@@ -661,7 +690,7 @@ def _run_csv(rows):
     samples = [(7 * i) % 128 for i in range(rows)]
     outputs = [(i * i) % 128 for i in range(rows)]
     fh = io.StringIO()
-    cli._write_run_csv(fh, samples, outputs, rows, 127)
+    cli._write_run_csv(fh, samples, outputs, rows, value_table(127, rows))
     return fh.getvalue(), _f_string_rows(samples, outputs)
 
 
@@ -751,7 +780,7 @@ def test_a_run_csv_holds_one_block_in_memory(tmp_path, bits):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
-            cli._write_run_csv(fh, samples, outputs, rows, top)
+            cli._write_run_csv(fh, samples, outputs, rows, value_table(top, rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -142,6 +142,24 @@ def test_a_bump_through_reversed_writes_through_to_the_csv(architecture):
     assert cycle_csv_lines(trace).splitlines() == before[:-1] + [",".join(row)]
 
 
+@pytest.mark.parametrize("value", [128, -1, 2**64], ids=["top+1", "negative", "wide"])
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_an_output_edited_out_of_range_prints_as_its_int_through_the_table(
+    architecture, value
+):
+    # 2,100 ticks take the table of 0..127; a busy tick's output edited out
+    # of it is formatted on lookup, as %d prints it
+    stream = [(7 * i) % 128 for i in range(2100)]
+    _, trace = run_pipeline(build_pipeline(make_config(taps=4), architecture), stream)
+    assert value_table(127, len(trace.inputs)) is not None
+    before = cycle_csv_lines(trace).splitlines()
+    tick, view = [(t, v) for t, v in enumerate(trace) if all(v.stage_occupancy)][1500]
+    view.emitted_output = value
+    row = before[tick].split(",")
+    row[2] = str(value)
+    assert cycle_csv_lines(trace).splitlines() == [*before[:tick], ",".join(row), *before[tick + 1:]]
+
+
 def test_a_bump_made_on_the_returned_trace_reaches_the_cli_cycle_csv(tmp_path):
     path, cycles = tmp_path / "in.csv", tmp_path / "cycles.csv"
     path.write_text("".join(f"{x}\n" for x in range(0, 128, 9)), encoding="utf-8")
