@@ -13,29 +13,42 @@ The filter's state is the last ``taps - 1`` samples, oldest first, carried
 from one block to the next.  ``run`` evaluates a whole block with one
 integer product (Kronecker substitution): the carried samples plus the
 block, and the raw weights, are each packed into one Python int with a
-field of F bytes per value, so field k of their product is the convolution
-term sum(w[i] * s[k - i]).  The weights are packed already scaled by the
-mode's multiplier m, so a field holds A * m, and the output is
-``(A * m) >> s`` (division by multiply and shift).  Every term is
-non-negative and at most ``max_raw * raw_sum * m``; F is chosen so that
-this bound is below 2**(8F), so no field ever carries into the next (see
-the ``fixed_point`` module note for the bound and for m and s).
+field of F bytes per value, so field k of their product is the window sum
+A = sum(w[i] * s[k - i]), 0 <= A <= N = max_raw * raw_sum.  The output is
+``(A * m) >> s`` (division by multiply and shift), and a scaled sum
+A * m needs W bytes (the ``fixed_point`` module note has both bounds, m
+and s).  The product costs about taps * F**2, so F is n1, the fewest
+bytes that hold N, and each sum is widened: copied into a W-byte field by
+strided slice assignments, after which one multiply of that int by m
+scales every sum at once.  Where n1 is W, or where the window is too short
+for the narrower product to pay for the widen's passes (taps * (W - n1)
+below ``_WIDEN_FROM``), F is W and m is folded into the packed weights
+instead, so a field holds A * m.
 
-The sample check is fused with the pack.  ``array`` packs the samples in C
-and raises TypeError for a non-integer and OverflowError for a negative
-or too wide a value; then, as ``max_raw`` is ``2**k - 1``, one AND of the
-packed int with a mask of every field's bits from k up tests every upper
-bound at once.  On any failure the block is checked again sample by
-sample (``check_samples``), which finds the valid prefix and the exact
-error, and only that prefix is filtered.
+The sample check is fused with the pack.  Samples of at most 8 bits pack
+with ``bytes``, wider ones with an ``array`` of 4- or 8-byte items; both
+work in C and raise TypeError for a non-integer and ValueError or
+OverflowError for a negative or too wide a value.  As ``max_raw`` is
+``2**k - 1``, a sample is at most max_raw exactly when each of its bytes
+is at most max_raw's byte there, so one ``translate`` per item byte below
+255 in max_raw, deleting the allowed values, tests every upper bound at
+once: a byte left over is a sample out of range.  The bytes below bit k
+are then spread into the product's fields by strided slice assignments.
+On any failure the block is checked again sample by sample
+(``check_samples``), which finds the valid prefix and the exact error, and
+only that prefix is filtered.
 
 The shift s is a whole number of bytes, so an output is a byte-aligned
-slice of its field.  When every output fits in one byte (samples of at
-most 8 bits in normalized mode, ``max_raw * raw_sum >> frac_bits`` below
-256 in raw mode) the outputs are one strided slice of the product's bytes,
-one byte per field; otherwise each field is read whole and shifted.  In
-raw mode an output above ``max_raw`` is then clamped to it, a pass that
-runs only when one of the config's sums can saturate at all.
+slice of its W-byte field.  Byte j of a value, counted from the least
+significant, lies at offset j of its field or array item of n bytes on a
+little-endian host and at n - 1 - j on a big-endian one (``sys.byteorder``,
+``_at``), for packing, widening and reading alike.
+When every output fits in one byte (samples of at most 8 bits in
+normalized mode, ``max_raw * raw_sum >> frac_bits`` below 256 in raw
+mode) the outputs are one strided slice of the scaled sums' bytes, one
+byte per field; otherwise each field is read whole and shifted.  In raw
+mode an output above ``max_raw`` is then clamped to it, a pass that runs
+only when one of the config's sums can saturate at all.
 
 Warm-up uses zero padding: the carried samples start at zero like a
 hardware shift register after reset, and there is no partial-sum
@@ -51,7 +64,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .fixed_point import QFormat, Record, RoundingMode
 # perfbench/tracing.py wraps gdswu.core.mac_exact
@@ -146,20 +159,40 @@ class GammaWindowFilter:
     def __init__(self, config: FilterConfig):
         self.config = config
         multiplier, self._shift = _scale(config)
-        self._width = width = _field_bytes(config)
-        scaled = [w * multiplier for w in config.weights.raw]
-        self._packed_weights = int.from_bytes(_fields(scaled, width), sys.byteorder)
         self._max_raw = max_raw = config.sample_format.max_raw
-        # one field's bits above max_raw, which is 2**k - 1
-        self._high = ((1 << 8 * width) - 1 - max_raw).to_bytes(width, sys.byteorder)
+        self._sums = sums = _sum_bytes(config)  # F, the product's field width
+        self._width = width = _field_bytes(config)  # W, a scaled sum's
+        # m folds into the weights where the product's fields are W bytes;
+        # otherwise the widened sums take it, one multiply per block
+        fold = sums == width
+        self._multiplier = 0 if fold else multiplier
+        packed = b"".join(
+            (w * multiplier if fold else w).to_bytes(sums, sys.byteorder)
+            for w in config.weights.raw
+        )
+        self._packed_weights = int.from_bytes(packed, sys.byteorder)
+        self._widen = [(_at(j, width), _at(j, sums)) for j in range(sums)]
+        self._code = None if max_raw <= 255 else next(
+            code for code in "IQ" if max_raw >> 8 * array(code).itemsize == 0
+        )
+        self._item = item = 1 if self._code is None else array(self._code).itemsize
+        # per item byte that max_raw does not fill: its offset and the values
+        # allowed there, at most max_raw's byte (0 above bit k)
+        self._limits = [
+            (_at(j, item), bytes(range((max_raw >> 8 * j) + 1)))
+            for j in range(item) if max_raw >> 8 * j < 255
+        ]
+        # each item byte below bit k, and where it goes in a field
+        self._spread = [
+            (_at(j, sums), _at(j, item)) for j in range(-(-max_raw.bit_length() // 8))
+        ]
         # the largest output before any clamp, that of the largest sum
         top = (max_raw * config.weights.raw_sum * multiplier) >> self._shift
         # the byte of a field where its output starts, read alone when every
         # output fits in it
-        byte = self._shift // 8 if sys.byteorder == "little" else width - 1 - self._shift // 8
-        self._byte = byte if top <= 255 else None
+        self._byte = _at(self._shift // 8, width) if top <= 255 else None
         self._saturates = top > max_raw
-        self._carry = bytes((config.taps - 1) * width)  # packed, oldest sample first
+        self._carry = bytes((config.taps - 1) * sums)  # packed, oldest sample first
 
     def run(self, samples: Iterable[int]) -> list[int]:
         """Filter a block; output length equals input length.
@@ -182,24 +215,26 @@ class GammaWindowFilter:
         it (None when all are valid).  The one kernel: ``run`` and the
         pipeline models call it, and the fault sweep calls ``run``."""
         values = samples if isinstance(samples, list) else list(samples)
-        width, order = self._width, sys.byteorder
         error = None
         try:
-            stream = self._carry + _fields(values, width)
-            packed = int.from_bytes(stream, order)
-            if packed & int.from_bytes(self._high * (len(stream) // width), order):
-                raise ValueError("a sample above max_raw")
+            stream = self._pack(values)
         except (TypeError, ValueError, OverflowError):
             # sample by sample: the valid prefix and the exact error
             values, error = check_samples(values, self._max_raw)
-            stream = self._carry + _fields(values, width)
-            packed = int.from_bytes(stream, order)
+            stream = self._pack(values)
         if not values:
             return [], error
-        taps = self.config.taps
-        lo, hi = (taps - 1) * width, len(stream)
-        data = (packed * self._packed_weights).to_bytes(hi + lo, order)
+        sums, width, order = self._sums, self._width, sys.byteorder
+        lo, hi = (self.config.taps - 1) * sums, len(stream)
+        data = (int.from_bytes(stream, order) * self._packed_weights).to_bytes(hi + lo, order)
         self._carry = stream[hi - lo:]
+        if self._multiplier:
+            # each sum into a W-byte field, then one multiply scales them all
+            wide = bytearray(len(values) * width)
+            for wide_at, sum_at in self._widen:
+                wide[wide_at::width] = data[lo + sum_at : hi : sums]
+            data = (int.from_bytes(wide, order) * self._multiplier).to_bytes(len(wide), order)
+            lo, hi = 0, len(wide)
         if self._byte is not None:
             outputs = list(data[lo + self._byte : hi : width])
         else:
@@ -209,6 +244,24 @@ class GammaWindowFilter:
             top = self._max_raw
             outputs = [y if y <= top else top for y in outputs]
         return outputs, error
+
+    def _pack(self, values: list):
+        """The carried samples, then ``values``, in F-byte fields, as a
+        bytes-like object.  A bad sample raises TypeError, ValueError or
+        OverflowError (the fused check, in the module note)."""
+        code, item = self._code, self._item
+        items = bytes(values) if code is None else array(code, values).tobytes()
+        for at, allowed in self._limits:
+            if items[at::item].translate(None, allowed):
+                raise ValueError("a sample above max_raw")
+        sums, carry = self._sums, self._carry
+        if item == sums:
+            return carry + items
+        stream = bytearray(len(carry) + len(values) * sums)
+        stream[: len(carry)] = carry
+        for field_at, item_at in self._spread:
+            stream[len(carry) + field_at :: sums] = items[item_at::item]
+        return stream
 
 
 def _scale(config: FilterConfig) -> tuple[int, int]:
@@ -230,37 +283,43 @@ def _whole_bytes(bits: int) -> int:
     return -(-bits // 8) * 8
 
 
-# array typecode per item size in bytes (2, 4 and 8 on common platforms); a
-# field is never one byte, as s >= 8 and a field holds byte s // 8
+def _at(j: int, size: int) -> int:
+    """The offset of byte j, counted from the least significant, in a
+    ``size``-byte field in native byte order."""
+    return j if sys.byteorder == "little" else size - 1 - j
+
+
+# array typecode per item size in bytes (2, 4 and 8 on common platforms)
 _ARRAY_CODES = {array(code).itemsize: code for code in "HILQ"}
 
 
-def _field_bytes(config: FilterConfig) -> int:
-    """Field width F in bytes: no product field reaches 2**(8F), and a field
-    holds byte s // 8, where the output starts.
+# the least taps * (W - n1) at which the narrower product saves more than
+# the widen's passes cost (product and read timed alone, 8,192 samples)
+_WIDEN_FROM = 20
 
-    A product field is m * sum(w[i] * s[k - i]) <= m * max_raw * raw_sum, as
-    all operands are non-negative.  F is rounded up to an array item size
-    where one exists.
+
+def _sum_bytes(config: FilterConfig) -> int:
+    """Field width in bytes of the packed product: the fewest bytes n1
+    that hold N = max_raw * raw_sum, the largest window sum, or W
+    (``_field_bytes``) where taps * (W - n1) is below ``_WIDEN_FROM``."""
+    bound = config.sample_format.max_raw * config.weights.raw_sum
+    least = -(-bound.bit_length() // 8)
+    width = _field_bytes(config)
+    return least if config.taps * (width - least) >= _WIDEN_FROM else width
+
+
+def _field_bytes(config: FilterConfig) -> int:
+    """Field width W in bytes of the scaled sums: no A * m reaches
+    2**(8W), and a field holds byte s // 8, where the output starts.
+
+    A scaled sum is m * sum(w[i] * s[k - i]) <= m * max_raw * raw_sum, as
+    all operands are non-negative.  W is rounded up to an array item size
+    where one exists, so ``_unpack`` reads the fields in C.
     """
     multiplier, shift = _scale(config)
     bound = config.sample_format.max_raw * config.weights.raw_sum * multiplier
     need = max(-(-bound.bit_length() // 8), shift // 8 + 1)
     return min((size for size in _ARRAY_CODES if size >= need), default=need)
-
-
-def _fields(values: Sequence, width: int):
-    """``values`` in ``width``-byte fields, in native byte order, as a
-    bytes-like object.  A non-integer raises TypeError, and a negative or
-    too wide a value OverflowError.
-
-    Packing and unpacking use the same order, so field k of a product of
-    packed ints is read back at field k whatever the platform's endianness.
-    """
-    code = _ARRAY_CODES.get(width)
-    if code is not None:
-        return array(code, values)
-    return b"".join(operator.index(v).to_bytes(width, sys.byteorder) for v in values)
 
 
 def _unpack(data: memoryview, width: int):

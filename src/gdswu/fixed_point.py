@@ -13,9 +13,8 @@ n / d, scaled by 2**frac_bits, with integer division alone.
 The filter stays exact in one way: a width proven not to overflow.  Its
 one kernel (``core.GammaWindowFilter._run_block``, which ``run`` and the
 pipeline models share) packs samples and weights into fields of F bytes of
-one Python int and multiplies once, so each product field is a whole sum.
-The weights are packed scaled by a multiplier m, so a field holds A * m for
-the window sum A, and the output is read as ``(A * m) >> s``.
+one Python int and multiplies once, so each product field is a whole
+window sum A.  The output is read as ``(A * m) >> s``.
 
 With samples in 0..max_raw and non-negative weights summing to raw_sum,
 every sum lies in 0..N, N = max_raw * raw_sum.  The output mode divides by
@@ -31,13 +30,25 @@ d: raw_sum (normalized-average) or 2**frac_bits (raw-accumulate).
 - Raw-accumulate: s = frac_bits rounded up to a multiple of 8 and
   m = 2**(s - frac_bits), so ``(A * m) >> s == A >> frac_bits`` exactly.
 
-F is chosen with ``N * m < 2**(8F)``, so no field carries into its
-neighbour and every sum is read back exactly, and with F > s // 8, so the
-byte where a field's output starts lies inside it.  The bound is computed
-per configuration, so it holds for every QFormat, 64-bit samples
-included.  ``mac_exact`` is a plain Python-int multiply-accumulate that
-the filter does not call; it is kept only for the benchmark harness,
-which wraps it.
+Two bounds keep every field apart, both computed per configuration, so
+they hold for every QFormat, 64-bit samples included:
+
+- N < 2**(8 * n1), n1 the fewest bytes that hold N.  A product field of
+  n1 bytes holds every sum, so no field carries into its neighbour; a
+  sample, at most max_raw <= N as raw_sum >= 1, fits one too.
+- N * m < 2**(8 * W), and W > s // 8.  A field of W bytes holds every
+  scaled sum, and the byte where its output starts lies inside it.
+
+m >= 1, so n1 <= W.  Where the product's fields are W bytes wide (n1 == W,
+or a short window that the kernel multiplies in W-byte fields), m folds
+into the packed weights and each product field is A * m, below 2**(8W) by
+the second bound.  Otherwise the product's fields are n1 bytes: each sum
+is copied whole into the low bytes of a W-byte field, and one multiply of
+that int by m makes field k A_k * m, again below 2**(8W), so the scaled
+fields do not carry into each other either.
+
+``mac_exact`` is a plain Python-int multiply-accumulate that the filter
+does not call; it is kept only for the benchmark harness, which wraps it.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from gdswu.core import (
     GammaWindowFilter,
     _field_bytes,
     _scale,
+    _sum_bytes,
     check_sample,
     make_config,
 )
@@ -40,8 +41,10 @@ from gdswu.systolic import ARCHITECTURES, build_pipeline, run_pipeline
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# 7 bits is the unit's own width (2-byte fields at 7 weight bits); 12 and 20
-# bits need 4- and 8-byte fields; 60 and 64 bits need fields over 8 bytes.
+# 7 bits is the unit's own width (4-byte scaled fields in normalized mode
+# and 2-byte ones in raw mode, at 7 weight bits), packed as bytes; 12 and
+# 20 bits pack as 4-byte array items, 60 and 64 bits as 8-byte ones, whose
+# scaled fields are over 8 bytes.
 SAMPLE_BITS = (7, 12, 20, 60, 64)
 
 
@@ -112,22 +115,26 @@ def test_chunked_run_equals_one_shot(data):
     assert filt.run(probe) == one_shot.run(probe)
 
 
-# (normalized, raw-accumulate) field widths: a field holds the scaled bound
-# max_raw * raw_sum * m and the byte s // 8 where the output starts
+# (normalized, raw-accumulate) widths: a scaled field holds the scaled bound
+# max_raw * raw_sum * m and the byte s // 8 where the output starts; a
+# product field holds the bound max_raw * raw_sum, and is as wide as the
+# scaled one where m folds into the weights.  At 1 bit and 32 taps the sums
+# fit 1 byte but the output starts in byte 1, so they are widened.
 @pytest.mark.parametrize(
-    "sample_int_bits, frac_bits, taps, widths",
+    "sample_int_bits, frac_bits, taps, widths, sums",
     [
-        (1, 4, 8, (2, 2)),
-        (7, 7, 16, (4, 2)),
-        (7, 12, 64, (8, 4)),
-        (20, 12, 64, (9, 8)),
-        (60, 7, 16, (18, 9)),
-        (64, 14, 64, (20, 11)),
+        (1, 4, 8, (2, 2), (2, 2)),
+        (7, 7, 16, (4, 2), (2, 2)),
+        (7, 12, 64, (8, 4), (3, 3)),
+        (20, 12, 64, (9, 8), (5, 5)),
+        (60, 7, 16, (18, 9), (9, 9)),
+        (64, 14, 64, (20, 11), (10, 10)),
+        (1, 4, 32, (2, 2), (1, 1)),
     ],
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_full_scale_stream_fills_every_field_without_carry(
-    sample_int_bits, frac_bits, taps, widths, mode
+    sample_int_bits, frac_bits, taps, widths, sums, mode
 ):
     # A full-scale stream drives every sum to its bound max_raw * raw_sum.
     config = make_config(
@@ -135,6 +142,7 @@ def test_full_scale_stream_fills_every_field_without_carry(
         sample_int_bits=sample_int_bits,
     )
     assert _field_bytes(config) == widths[MODES.index(mode)]
+    assert _sum_bytes(config) == sums[MODES.index(mode)]
     top = config.sample_format.max_raw
     stream = [top] * (3 * taps) + [0, top, 1, top - 1] * taps
     assert GammaWindowFilter(config).run(stream) == oracle(config, stream)
@@ -239,22 +247,27 @@ class Index:
         return self.value
 
 
-# fields of 4 and 2 bytes, packed by ``array``, and of 20 bytes, packed one
-# ``int.to_bytes`` at a time
+# samples packed as bytes into product fields of 4 and 2 bytes, and as
+# array items of 4 bytes into 3-byte fields and of 8 bytes into 10-byte ones
 CHECK_CONFIGS = {
     "normalized": make_config(taps=4),
     "raw": make_config(taps=4, mode=MODE_RAW),
+    "12-bit": make_config(taps=4, sample_int_bits=12),
     "64-bit": make_config(taps=4, frac_bits=14, sample_int_bits=64),
 }
 
 
 def bad_samples(config):
-    """Samples ``check_sample`` rejects.  The packers take the last three
-    (an int above max_raw that fits a field, by ``__index__`` too, and a
-    field's largest value), which the fused check's mask must then reject."""
+    """Samples ``check_sample`` rejects.  256 is the first value ``bytes``
+    refuses.  The packers take an int above max_raw that fits an item, by
+    ``__index__`` too, which a ``translate`` test must then reject; and, for
+    4-byte items in 3-byte fields, 2**(8 * 3) and one more, whose low bytes
+    are in range and whose high byte the fields drop."""
     top = config.sample_format.max_raw
-    return [1.5, "3", -1, 2**64, Index(-2), top + 1, Index(top + 1),
-            (1 << 8 * _field_bytes(config)) - 1]
+    dropped = 1 << 8 * _sum_bytes(config)
+    bad = [1.5, "3", -1, 256, dropped, dropped + 1, 2**32, 2**64, Index(-2), top + 1,
+           Index(top + 1), (1 << 8 * _field_bytes(config)) - 1]
+    return [x for x in bad if not (type(x) is int and 0 <= x <= top)]
 
 
 def check_error(sample, top):
