@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from itertools import chain, repeat
 
 from .core import (
     MODES,
@@ -28,7 +27,7 @@ from .core import (
     make_config,
     step_response,
 )
-from .csv_rows import numbered_rows, table_pays, value_table, value_texts
+from .csv_rows import numbered_rows
 from .faults import FAULT_KINDS, FaultSpec, sweep
 from .fixed_point import ROUNDING_MODES
 from .systolic import (
@@ -132,6 +131,17 @@ def _read_samples(path: str, has_header: bool, max_raw: int) -> list[int]:
     return _parse_rows(text, path, has_header, max_raw) if samples is None else samples
 
 
+# Rows per value of 0..max_raw before a parse's table from each value's
+# text to its int pays: an entry costs about one int() to build, and a
+# 64-bit sample format never builds its 2**64 entries.
+_TABLE_ROWS_PER_VALUE = 8
+
+
+def table_pays(top: int, rows: int) -> bool:
+    """Whether ``rows`` lines pay for a table of each value in ``0..top``."""
+    return (top + 1) * _TABLE_ROWS_PER_VALUE <= rows
+
+
 def _parse_fast(text: str, has_header: bool, max_raw: int) -> list[int] | None:
     """The samples of plain one-column ``text``; None for any other text.
 
@@ -150,10 +160,10 @@ def _parse_fast(text: str, has_header: bool, max_raw: int) -> list[int] | None:
     ``limit`` characters can trip the test too; the ``csv`` path then gives
     the same samples.
 
-    When the lines pay for a table of ``0..max_raw``
-    (``csv_rows.table_pays``), each line is looked up in a table from ``str(v)`` to
-    ``v``.  A hit means the line is exactly ``str(v)``, which ``int`` also
-    reads as ``v``, and every table value is in range.  Any miss (``+5``,
+    When the lines pay for a table of ``0..max_raw`` (``table_pays``),
+    each line is looked up in a table from ``str(v)`` to ``v``.  A hit
+    means the line is exactly ``str(v)``, which ``int`` also reads as
+    ``v``, and every table value is in range.  Any miss (``+5``,
     `` 5``, ``007``, ``1_0``, ``-0``, non-ASCII digits, an out-of-range
     value) falls back to ``int``, which yields only ints, so its values
     need only a range test.
@@ -249,13 +259,23 @@ def _print_json(obj: dict, path: str) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_run_csv(fh, inputs, outputs, rows: int, table) -> None:
+def _write_run_csv(fh, inputs, outputs, rows: int) -> None:
     """The run CSV of ``rows`` rows of ``inputs`` and ``outputs``, indexed
-    from 0.  The columns are read a block of a thousand rows at a time,
-    each value looked up in ``table``, a ``csv_rows.value_texts`` or
-    ``value_table``, or formatted with ``%d`` where it is None."""
+    from 0.  The columns are sliced a block of a thousand rows at a time,
+    and a block is built as bytes where its values fit a byte, else
+    formatted with ``%d`` (``csv_rows``)."""
     fh.write("index,input,output\n")
-    fh.writelines(numbered_rows(0, inputs, outputs, rows, table=table))
+    fh.writelines(numbered_rows(0, inputs, outputs, rows))
+
+
+class _Held(list):
+    """A list whose slices run on past its end, repeating its last item."""
+
+    __slots__ = ()
+
+    def __getitem__(self, s: slice) -> list:
+        head = list.__getitem__(self, s)
+        return head + [list.__getitem__(self, -1)] * (s.stop - s.start - len(head))
 
 
 def cmd_weights(ns: argparse.Namespace) -> int:
@@ -267,10 +287,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
     config = _resolve_config(ns)
     samples = _read_samples(ns.input, ns.has_header, config.sample_format.max_raw)
     outputs = GammaWindowFilter(config).run(samples)
-    # raw mode clamps, so every output lies in 0..max_raw too
-    table = value_table(config.sample_format.max_raw, len(samples))
     with _open_out(ns.output) as fh:
-        _write_run_csv(fh, samples, outputs, len(samples), table)
+        _write_run_csv(fh, samples, outputs, len(samples))
     return 0
 
 
@@ -288,12 +306,10 @@ def cmd_step(ns: argparse.Namespace) -> int:
     # the window is full from the taps-th sample on, so later outputs repeat
     outputs = step_response(config, ns.seed, min(length, config.taps))
     steady = outputs[-1]
-    # endless columns: the row count bounds them, since repeat(x, n) and
-    # islice(it, n) refuse n > sys.maxsize.  They hold only the seed and
-    # the taps outputs, whatever the length and the sample format.
-    table = value_texts((ns.seed,), outputs)
+    # endless columns, bounded by the row count: they hold only the seed
+    # and the taps outputs, whatever the length and the sample format
     with _open_out(ns.output) as fh:
-        _write_run_csv(fh, repeat(ns.seed), chain(outputs, repeat(steady)), length, table)
+        _write_run_csv(fh, _Held([ns.seed]), _Held(outputs), length)
     summary = {
         "mode": config.mode,
         "seed": ns.seed,
@@ -325,7 +341,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     _, trace = run_pipeline(model, samples)
     with _open_out(ns.output) as fh:
         fh.write(",".join(CYCLE_CSV_HEADER) + "\n")
-        fh.writelines(cycle_csv_blocks(trace, config.sample_format.max_raw))
+        fh.writelines(cycle_csv_blocks(trace))
     ops = trace.steady_ops()
     total = None if ops is None else sum(ops.values())
     footer = {

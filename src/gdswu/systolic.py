@@ -41,9 +41,9 @@ of a value change dump (IEEE Std 1364-2005, clause 18).  The facts of a
 pattern are the stage plan's, made once per pipeline on first use: its
 ops, counted by popcount over one bit mask per distinct stage op triple,
 and its occupancy tuple.  The cycle CSV reads only the columns and the
-ops: ``csv_rows`` joins an all-busy stretch of runs a thousand rows at a
-time, from one table of value strings per call where it pays, and any
-other tick gets a row of its own.  Per-tick ``CycleReport`` views, for
+ops: ``csv_rows`` builds an all-busy stretch of runs a thousand rows at
+a time, as bytes where a block's values fit a byte, and any other tick
+gets a row of its own.  Per-tick ``CycleReport`` views, for
 tests and checks only, carry four fields, and the views of one pattern
 share its tuple.
 
@@ -70,7 +70,7 @@ from itertools import chain, count, groupby, islice, repeat
 from typing import Iterator
 
 from .core import FilterConfig, GammaWindowFilter
-from .csv_rows import numbered_rows, value_table
+from .csv_rows import numbered_rows
 
 ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
 OPS: tuple[str, ...] = ("multiply", "add", "normalize")
@@ -223,22 +223,21 @@ class CycleReport:
 CYCLE_CSV_HEADER = ("cycle", "input", "output", "mult_ops", "add_ops", "other_ops")
 
 
-def cycle_csv_blocks(trace: CycleTrace, top: int) -> Iterator[str]:
+def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
     """The cycle-CSV rows of ``trace``, each ending in ``\\n``, a block at a time.
 
     Inputs and outputs print as ``%d`` prints them; idle ones are empty
     fields.  A stretch of runs with every stage busy consumed and emitted
-    on each of its ticks, so ``numbered_rows`` joins it a thousand rows at
-    a time, through one table of the text of ``0..top`` per call where the
-    trace has enough rows per value; a value the table lacks, say an
-    output edited past ``top``, is formatted on lookup.  Any other stretch
-    gets one row per tick, up to a thousand rows per block, its values
-    formatted with ``%d``.
+    on each of its ticks, so ``numbered_rows`` builds it a thousand rows
+    at a time: as bytes where a block's values fit a byte, else through
+    the ``%d`` template, say for an output edited past the sample format.
+    Any other stretch gets one row per tick, up to a thousand rows per
+    block, its values formatted with ``%d``.
     """
     plan, inputs, outputs = trace.plan, trace.inputs, trace.outputs
     full = plan.full
     texts = {}  # the ops columns of each ops triple
-    busy_end = table = None  # made for the first busy stretch, shared by the rest
+    busy_end = None  # made for the first busy stretch, shared by the rest
     tick = 0
     for busy, group in groupby(trace.runs, lambda run: run[0] == full):
         patterns, lengths = zip(*group)
@@ -246,9 +245,8 @@ def cycle_csv_blocks(trace: CycleTrace, top: int) -> Iterator[str]:
         if busy:
             if busy_end is None:
                 busy_end = ",%d,%d,%d\n" % plan[full]
-                table = value_table(top, len(inputs), busy_end)
             yield from numbered_rows(trace.first_cycle + tick, inputs[tick:stop],
-                                     outputs[tick:stop], stop - tick, busy_end, table)
+                                     outputs[tick:stop], stop - tick, busy_end)
         else:
             triples = list(map(plan.__getitem__, patterns))
             texts.update((ops, ",%d,%d,%d\n" % ops) for ops in set(triples) - texts.keys())

@@ -155,11 +155,9 @@ class ChainPipeline:
         return output, CycleReport(self._cycle, sample, output, ops, occupancy)
 
 
-def cycle_csv_lines(trace, top=127) -> str:
-    """The cycle-CSV rows of a package ``CycleTrace``, each ending in ``\\n``,
-    through a table of ``0..top`` (the default 7-bit format's) once the
-    trace is long enough."""
-    return "".join(cycle_csv_blocks(trace, top))
+def cycle_csv_lines(trace) -> str:
+    """The cycle-CSV rows of a package ``CycleTrace``, each ending in ``\\n``."""
+    return "".join(cycle_csv_blocks(trace))
 
 
 def expand_trace(trace) -> list[CycleReport]:

@@ -20,10 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gdswu import cli, csv_rows
+from gdswu import cli
 from gdswu.cli import DataError, main
 from gdswu.core import make_config, step_response
-from gdswu.csv_rows import table_pays, value_table
 from gdswu.gamma_weights import MAX_TAPS
 from gdswu.oracle import oracle_exact
 from reference_systolic import build_reference, run_reference
@@ -399,8 +398,8 @@ def test_the_table_path_parses_as_the_csv_rows_do(
 ):
     # enough rows for _parse_fast to look them up in a table of str(v)
     rng = random.Random(seed)
-    least = csv_rows._TABLE_ROWS_PER_VALUE * (max_raw + 1)
-    assert table_pays(max_raw, least) and not table_pays(max_raw, least - 1)
+    least = cli._TABLE_ROWS_PER_VALUE * (max_raw + 1)
+    assert cli.table_pays(max_raw, least) and not cli.table_pays(max_raw, least - 1)
     rows = [str(rng.randint(0, max_raw)) for _ in range(least + extra)]
     spelling = data.draw(st.sampled_from((None, *NON_CANONICAL, str(max_raw + 1))))
     if spelling is not None:
@@ -690,7 +689,7 @@ def _run_csv(rows):
     samples = [(7 * i) % 128 for i in range(rows)]
     outputs = [(i * i) % 128 for i in range(rows)]
     fh = io.StringIO()
-    cli._write_run_csv(fh, samples, outputs, rows, value_table(127, rows))
+    cli._write_run_csv(fh, samples, outputs, rows)
     return fh.getvalue(), _f_string_rows(samples, outputs)
 
 
@@ -735,10 +734,8 @@ def _oracle_outputs(samples, mode):
 
 @pytest.mark.parametrize("mode", ["normalized-average", "raw-accumulate"])
 def test_a_20_bit_run_csv_formats_each_value_with_d(tmp_path, csv_file, mode):
-    # 2**20 values need 8 Mi rows before their table pays, so every block
-    # goes through the %d template
+    # values past a byte in every block send it through the %d template
     rows = 3001
-    assert value_table(2**20 - 1, rows) is None
     samples = _wide_stream(rows)
     path = tmp_path / "run.csv"
     argv = ["run", csv_file(samples), *WIDE_SAMPLE_FLAGS, "--mode", mode, "-o", str(path)]
@@ -768,7 +765,7 @@ def test_a_20_bit_cycle_csv_formats_each_value_with_d(tmp_path, csv_file, mode, 
     assert path.read_text(encoding="utf-8") == "cycle,input,output,mult_ops,add_ops,other_ops\n" + want
 
 
-@pytest.mark.parametrize("bits", [7, 20], ids=["table", "%d"])
+@pytest.mark.parametrize("bits", [7, 20], ids=["bytes", "%d"])
 def test_a_run_csv_holds_one_block_in_memory(tmp_path, bits):
     # The whole text of 65,536 rows is over 0.8 MB, and a list of its
     # parts over 2 MB; a block of a thousand rows is a few tens of kB.
@@ -780,7 +777,7 @@ def test_a_run_csv_holds_one_block_in_memory(tmp_path, bits):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
-            cli._write_run_csv(fh, samples, outputs, rows, value_table(top, rows))
+            cli._write_run_csv(fh, samples, outputs, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

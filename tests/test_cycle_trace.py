@@ -12,6 +12,7 @@ views of one pattern share one occupancy tuple, across the traces of one
 pipeline too, which keeps the gate's memory flat.
 """
 
+import io
 from unittest import mock
 
 import pytest
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 import gdswu.cli
 from gdswu import systolic
-from gdswu.core import make_config
-from gdswu.csv_rows import numbered_rows, value_table
+from gdswu.core import GammaWindowFilter, make_config
+from gdswu.csv_rows import numbered_rows
 from gdswu.systolic import ARCHITECTURES, OPS, CycleTrace, build_pipeline, run_pipeline
 from reference_systolic import build_reference, cycle_csv_lines, expand_trace, run_reference
 from strategies import configs
@@ -72,24 +73,34 @@ def test_the_cycle_csv_across_thousand_row_edges(architecture, taps, idle):
         assert cycle_csv_lines(trace) == reference_rows(want)
 
 
+# every digit count of a byte value, True among them, and values past a
+# byte either way, which send their block through the %d template
+BYTE_VALUES = (0, 9, 10, 99, 100, 255, True)
+WIDE_VALUES = (256, -1, 2**64)
+
+
 @settings(max_examples=60, deadline=None)
-@given(first=st.one_of(st.sampled_from([999, 1000, 2000]), st.integers(0, 3000)),
-       rows=st.integers(0, 2100), top=st.sampled_from([0, 127, 2**64 - 1]),
+@given(first=st.one_of(st.sampled_from([999, 1000, 9999, 10000, 99999, 100000, 999999, 1000000]),
+                       st.integers(0, 3000)),
+       rows=st.integers(0, 2100),
+       wide=st.lists(st.tuples(st.integers(0, 2099), st.booleans(), st.sampled_from(WIDE_VALUES)),
+                     max_size=3),
        end=st.sampled_from(["\n", ",64,63,1\n"]))
-@example(first=999, rows=1100, top=127, end="\n")  # the table, across 1,000
-@example(first=1000, rows=1023, top=127, end="\n")  # one row short of the table
-@example(first=2000, rows=8, top=0, end=",64,63,1\n")  # the table at its least rows
-@example(first=999, rows=1002, top=2**64 - 1, end="\n")  # %d, across 1,000 and 2,000
-def test_numbered_rows_match_rows_formatted_one_at_a_time(first, rows, top, end):
-    # values up to top, the largest ones included; the table pays from
-    # (top + 1) * 8 rows on
-    xs = [(i * 0x9E3779B97F4A7C15 + top) % (top + 1) for i in range(rows)]
-    ys = [(i * i) % (top + 1) for i in range(rows)]
-    table = value_table(top, rows, end)
-    assert (table is None) == ((top + 1) * 8 > rows)
-    want = "".join(f"{first + i},{x},{y}{end}" for i, (x, y) in enumerate(zip(xs, ys)))
-    assert "".join(numbered_rows(first, xs, ys, rows, end, table)) == want
-    assert "".join(numbered_rows(first, iter(xs), iter(ys), rows, end, table)) == want
+@example(first=999, rows=1100, wide=[], end="\n")  # bytes, across 1,000
+@example(first=9999, rows=1500, wide=[(0, False, 256)], end="\n")  # %d, then bytes across 10,000
+@example(first=99999, rows=2002, wide=[(2001, True, -1)], end=",64,63,1\n")  # bytes, then %d
+@example(first=999999, rows=1003, wide=[(1, True, 2**64)], end="\n")  # bytes, %d, bytes
+@example(first=0, rows=1001, wide=[(1000, False, 2**64)], end=",64,63,1\n")  # block 0 bytes
+def test_numbered_rows_match_rows_formatted_one_at_a_time(first, rows, wide, end):
+    xs = [BYTE_VALUES[i % 7] if i % 3 else (i * 0x9E3779B97F4A7C15) % 256 for i in range(rows)]
+    ys = [BYTE_VALUES[i % 5] if i % 2 else (i * i) % 256 for i in range(rows)]
+    for at, column, value in wide:
+        if at < rows:
+            (ys if column else xs)[at] = value
+    want = "".join(f"{first + i},{x:d},{y:d}{end}" for i, (x, y) in enumerate(zip(xs, ys)))
+    assert "".join(numbered_rows(first, xs, ys, rows, end)) == want
+    # the columns are read from index 0 for rows items only
+    assert "".join(numbered_rows(first, xs + [256], ys + [-1], rows, end)) == want
 
 
 class _Index:
@@ -118,9 +129,34 @@ def test_a_bool_or_index_sample_prints_as_its_int_on_any_tick(architecture, leng
               for stream in (mixed, ints)]
     busy = {t for t, view in enumerate(traces[0]) if all(view.stage_occupancy)}
     assert {0, 1, 9, 10}.isdisjoint(busy) and {6, 7} <= busy
-    got, want = (cycle_csv_lines(trace, 127) for trace in traces)
+    got, want = (cycle_csv_lines(trace) for trace in traces)
     assert got == want
     assert [row.split(",")[1] for row in got.splitlines()[:2]] == ["1", "7"]
+
+
+class _Unhashable(_Index):
+    """An ``__index__`` sample with ``__eq__``, and so no ``__hash__``."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Index) and self.value == other.value
+
+
+@pytest.mark.parametrize("writer", [*ARCHITECTURES, "run"])
+def test_an_unhashable_index_sample_prints_as_its_int_in_a_long_csv(writer):
+    # the 2,100 rows of a long trace or run CSV, every fifth sample an
+    # object that no dict can key
+    config = make_config(taps=2)
+    ints = [(7 * i) % 128 for i in range(2100)]
+    mixed = [_Unhashable(x) if i % 5 == 0 else x for i, x in enumerate(ints)]
+    if writer == "run":
+        got, want = io.StringIO(), io.StringIO()
+        for fh, stream in ((got, mixed), (want, ints)):
+            gdswu.cli._write_run_csv(fh, stream, GammaWindowFilter(config).run(stream), len(stream))
+        got, want = got.getvalue(), want.getvalue()
+    else:
+        got, want = (cycle_csv_lines(run_pipeline(build_pipeline(config, writer), stream)[1])
+                     for stream in (mixed, ints))
+    assert got == want
 
 
 def _bump_last_output(trace):
@@ -144,14 +180,14 @@ def test_a_bump_through_reversed_writes_through_to_the_csv(architecture):
 
 @pytest.mark.parametrize("value", [128, -1, 2**64], ids=["top+1", "negative", "wide"])
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
-def test_an_output_edited_out_of_range_prints_as_its_int_through_the_table(
+def test_an_output_edited_out_of_range_prints_as_its_int_through_each_path(
     architecture, value
 ):
-    # 2,100 ticks take the table of 0..127; a busy tick's output edited out
-    # of it is formatted on lookup, as %d prints it
+    # a busy tick's output edited past the 7-bit format prints as %d
+    # prints it: 128 still fits a byte and takes the byte path, -1 and
+    # 2**64 send their block through the %d template
     stream = [(7 * i) % 128 for i in range(2100)]
     _, trace = run_pipeline(build_pipeline(make_config(taps=4), architecture), stream)
-    assert value_table(127, len(trace.inputs)) is not None
     before = cycle_csv_lines(trace).splitlines()
     tick, view = [(t, v) for t, v in enumerate(trace) if all(v.stage_occupancy)][1500]
     view.emitted_output = value

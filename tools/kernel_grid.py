@@ -1,4 +1,4 @@
-"""Time ``GammaWindowFilter.run`` of two checkouts over a grid of configs.
+"""Time ``GammaWindowFilter.run`` and ``gdswu run`` of two checkouts.
 
 Usage::
 
@@ -8,13 +8,17 @@ Both checkouts' ``src/gdswu`` are copied under a temporary directory as
 two packages, ``gdswu_base`` and ``gdswu_new``, and imported into this one
 process, so each timing of one side is paired with a timing of the other
 taken moments apart.  For every config of the grid (sample bits 1, 7, 8,
-12, 16, 20 and 64; taps 4, 16, 64 and 256; both modes; a=2, b=5, 7 weight
-bits) both filters must give the same outputs on a fixed pseudo-random
-stream of N samples; then each round takes the timeit minimum of one
-filter's ``run`` over that stream on each side, alternating which side
-goes first.  The table gives each side's median over rounds, the ratio
-new/base and the rounds the new checkout won.  Standard library only; it
-is not part of the test suite.
+9, 12, 16, 20 and 64; taps 4, 16, 64 and 256; both modes; a=2, b=5, 7
+weight bits) both filters must give the same outputs on a fixed
+pseudo-random stream of N samples; then each round takes the timeit
+minimum of one filter's ``run`` over that stream on each side,
+alternating which side goes first.  A second table does the same for the
+whole command, ``gdswu run`` through each side's ``cli.main`` on a CSV of
+65,536 samples at every sample width (default flags otherwise), its CSV
+written to a file; the two sides' CSVs must be byte-identical.  Each
+table gives each side's median over rounds, the ratio new/base and the
+rounds the new checkout won.  Standard library only; it is not part of
+the test suite.
 """
 
 from __future__ import annotations
@@ -29,13 +33,29 @@ import sys
 import tempfile
 import timeit
 
-SAMPLE_BITS = (1, 7, 8, 12, 16, 20, 64)
+SAMPLE_BITS = (1, 7, 8, 9, 12, 16, 20, 64)
+CLI_ROWS = 65536
 TAPS = (4, 16, 64, 256)
 MODES = ("normalized-average", "raw-accumulate")
 
 
 def best(run, number: int) -> float:
     return min(timeit.repeat(run, repeat=3, number=number)) / number
+
+
+def paired(runs: dict, rounds: int) -> str:
+    """Each side's median over ``rounds`` of timeit minimums, in ms, their
+    ratio new/base and the rounds the new side won, the first side
+    alternating."""
+    number = max(1, timeit.Timer(runs["base"]).autorange()[0] // 10)
+    times = {"base": [], "new": []}
+    for r in range(rounds):
+        for side in ("base", "new") if r % 2 == 0 else ("new", "base"):
+            times[side].append(best(runs[side], number))
+    b = statistics.median(times["base"])
+    n = statistics.median(times["new"])
+    wins = sum(x < y for x, y in zip(times["new"], times["base"]))
+    return f"{b * 1e3:>9.3f} {n * 1e3:>9.3f} {n / b:>8.3f} {wins:>2}/{rounds}"
 
 
 def main(argv=None) -> int:
@@ -49,13 +69,14 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     tmp = tempfile.mkdtemp()
     try:
-        sides = {}
+        sides, clis = {}, {}
         for side in ("base", "new"):
             shutil.copytree(os.path.join(getattr(args, side), "src", "gdswu"),
                             os.path.join(tmp, f"gdswu_{side}"))
         sys.path.insert(0, tmp)
         for side in ("base", "new"):
             sides[side] = importlib.import_module(f"gdswu_{side}.core")
+            clis[side] = importlib.import_module(f"gdswu_{side}.cli")
     finally:
         shutil.rmtree(tmp)
 
@@ -76,16 +97,30 @@ def main(argv=None) -> int:
                     print(f"{bits}/{taps}/{mode}: outputs differ between the checkouts",
                           file=sys.stderr)
                     return 1
-                number = max(1, timeit.Timer(runs["base"]).autorange()[0] // 10)
-                times = {"base": [], "new": []}
-                for r in range(args.rounds):
-                    for side in ("base", "new") if r % 2 == 0 else ("new", "base"):
-                        times[side].append(best(runs[side], number))
-                b = statistics.median(times["base"])
-                n = statistics.median(times["new"])
-                wins = sum(x < y for x, y in zip(times["new"], times["base"]))
-                print(f"{bits:>4} {taps:>4} {mode:<18} {b * 1e3:>9.3f} {n * 1e3:>9.3f} "
-                      f"{n / b:>8.3f} {wins:>2}/{args.rounds}", flush=True)
+                print(f"{bits:>4} {taps:>4} {mode:<18} {paired(runs, args.rounds)}", flush=True)
+
+    print(f"# gdswu run, {CLI_ROWS} rows, {args.rounds} rounds; timeit minimums in ms")
+    print(f"{'bits':>4} {'base':>9} {'new':>9} {'new/base':>8} {'wins':>5}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for bits in SAMPLE_BITS:
+            rng = random.Random(bits)
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{rng.getrandbits(bits)}\n" for _ in range(CLI_ROWS))
+            runs, csvs = {}, {}
+            for side, cli in clis.items():
+                out = os.path.join(tmp, f"{side}.csv")
+                argv = ["run", path, "--sample-int-bits", str(bits), "-o", out]
+                runs[side] = lambda main=cli.main, argv=argv: main(argv)
+                if runs[side]() != 0:
+                    print(f"{bits}-bit run: {side} checkout failed", file=sys.stderr)
+                    return 1
+                with open(out, "rb") as fh:
+                    csvs[side] = fh.read()
+            if csvs["base"] != csvs["new"]:
+                print(f"{bits}-bit run: the CSVs differ between the checkouts", file=sys.stderr)
+                return 1
+            print(f"{bits:>4} {paired(runs, args.rounds)}", flush=True)
     return 0
 
 
