@@ -260,12 +260,12 @@ def _print_json(obj: dict, path: str) -> None:
 
 
 def _write_run_csv(fh, inputs, outputs, rows: int) -> None:
-    """The run CSV of ``rows`` rows of ``inputs`` and ``outputs``, indexed
-    from 0.  The columns are sliced a block of a thousand rows at a time,
-    and a block is built as bytes where its values fit a byte, else
-    formatted with ``%d`` (``csv_rows``)."""
+    """The run CSV of rows 0 to ``rows - 1`` of ``inputs`` and ``outputs``,
+    indexed from 0.  The columns are read in place, one slice per block of
+    a thousand rows, and a block is built as bytes where its values fit a
+    byte, else formatted with ``%d`` (``csv_rows``)."""
     fh.write("index,input,output\n")
-    fh.writelines(numbered_rows(0, inputs, outputs, rows))
+    fh.writelines(numbered_rows(0, inputs, outputs, 0, rows))
 
 
 class _Held(list):
@@ -357,20 +357,6 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="key=value run-config file")
-    parser.add_argument("--shape", "-a", dest="a", type=int, help="gamma shape (positive integer)")
-    parser.add_argument("--scale", "-b", dest="b", type=float, help="gamma scale (> 0)")
-    parser.add_argument("--taps", type=int, help="window length (default 16)")
-    parser.add_argument("--frac-bits", type=int, help="weight fractional bits (default 7)")
-    parser.add_argument("--rounding", choices=ROUNDING_MODES, help="weight rounding mode")
-    parser.add_argument("--mode", choices=MODES, help="output mode")
-    parser.add_argument("--sample-int-bits", type=int, help="sample width in bits (default 7)")
-    parser.add_argument(
-        "--sample-offset", type=float, help="density sample point offset (default 0)"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gdswu",
@@ -378,29 +364,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("weights", help="print the quantized weight vector as JSON")
-    _add_config_flags(p)
+    # the flags that commands share, declared once: the run config, then
+    # the input stream
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="key=value run-config file")
+    config.add_argument("--shape", "-a", dest="a", type=int, help="gamma shape (positive integer)")
+    config.add_argument("--scale", "-b", dest="b", type=float, help="gamma scale (> 0)")
+    config.add_argument("--taps", type=int, help="window length (default 16)")
+    config.add_argument("--frac-bits", type=int, help="weight fractional bits (default 7)")
+    config.add_argument("--rounding", choices=ROUNDING_MODES, help="weight rounding mode")
+    config.add_argument("--mode", choices=MODES, help="output mode")
+    config.add_argument("--sample-int-bits", type=int, help="sample width in bits (default 7)")
+    config.add_argument(
+        "--sample-offset", type=float, help="density sample point offset (default 0)"
+    )
+    source = argparse.ArgumentParser(add_help=False, parents=[config])
+    source.add_argument("input", help="input CSV path, or - for stdin")
+    source.add_argument("--has-header", action="store_true", help="skip the first input row")
+
+    p = sub.add_parser("weights", parents=[config], help="print the quantized weight vector as JSON")
     p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("run", help="filter a CSV sample stream")
-    _add_config_flags(p)
-    p.add_argument("input", help="input CSV path, or - for stdin")
-    p.add_argument("--has-header", action="store_true", help="skip the first input row")
+    p = sub.add_parser("run", parents=[source], help="filter a CSV sample stream")
     p.add_argument("-o", "--output", default="-", metavar="PATH", help="output CSV (default stdout)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("step", help="constant-seed step response plus summary")
-    _add_config_flags(p)
+    p = sub.add_parser("step", parents=[config], help="constant-seed step response plus summary")
     p.add_argument("--seed", type=parse_int_literal, default=0x7F, help="step level (hex ok, default 0x7F)")
     p.add_argument("--length", type=int, help="number of samples (default the larger of 32 and taps)")
     p.add_argument("-o", "--output", default="-", metavar="PATH", help="waveform CSV (default stdout)")
     p.add_argument("--summary", default="-", metavar="PATH", help="summary JSON (default stdout)")
     p.set_defaults(func=cmd_step)
 
-    p = sub.add_parser("inject", help="inject a transient fault and report attenuation")
-    _add_config_flags(p)
-    p.add_argument("input", help="clean input CSV path, or - for stdin")
-    p.add_argument("--has-header", action="store_true", help="skip the first input row")
+    p = sub.add_parser("inject", parents=[source], help="inject a transient fault and report attenuation")
     p.add_argument("--kind", choices=FAULT_KINDS, default="spike")
     p.add_argument("--at", type=int, required=True, help="first faulted sample index")
     p.add_argument("--duration", type=int, default=1, help="faulted sample count (default 1)")
@@ -408,10 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default="-", metavar="PATH", help="report JSON (default stdout)")
     p.set_defaults(func=cmd_inject)
 
-    p = sub.add_parser("simulate", help="cycle-accurate pipeline run over a CSV stream")
-    _add_config_flags(p)
-    p.add_argument("input", help="input CSV path, or - for stdin")
-    p.add_argument("--has-header", action="store_true", help="skip the first input row")
+    p = sub.add_parser("simulate", parents=[source], help="cycle-accurate pipeline run over a CSV stream")
     p.add_argument("--architecture", choices=ARCHITECTURES, default="tree")
     p.add_argument("-o", "--output", default="-", metavar="PATH", help="cycle CSV (default stdout)")
     p.add_argument("--summary", default="-", metavar="PATH", help="footer JSON (default stdout)")

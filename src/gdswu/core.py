@@ -15,14 +15,15 @@ integer product (Kronecker substitution): the carried samples plus the
 block, and the raw weights, are each packed into one Python int with a
 field of F bytes per value, so field k of their product is the window sum
 A = sum(w[i] * s[k - i]), 0 <= A <= N = max_raw * raw_sum.  The output is
-``(A * m) >> s`` (division by multiply and shift), and a scaled sum
-A * m needs W bytes (the ``fixed_point`` module note has both bounds, m
-and s).  The product costs about taps * F**2, so F is n1, the fewest
-bytes that hold N, and each sum is widened: copied into a W-byte field by
-strided slice assignments, after which one multiply of that int by m
-scales every sum at once.  Where n1 is W, or where the window is too short
-for the narrower product to pay for the widen's passes (taps * (W - n1)
-below ``_WIDEN_FROM``), F is W and m is folded into the packed weights
+``(A * m) >> s`` (division by multiply and shift, proved in the
+``fixed_point`` module note), and a scaled sum A * m needs W bytes;
+``_layout`` alone computes m, s, F and W.  The product costs about
+taps * F**2, so F is n1, the fewest bytes that hold N, and each sum is
+widened: copied into a W-byte field by strided slice assignments, after
+which one multiply of that int by m scales every sum at once.  Where n1
+is W, or where the window is too short for the narrower product to pay
+for the widen's passes (taps * (W - n1) below ``_WIDEN_FROM``),
+``_layout`` makes F equal to W and m is folded into the packed weights
 instead, so a field holds A * m.
 
 The sample check is fused with the pack.  Samples of at most 8 bits pack
@@ -158,10 +159,9 @@ class GammaWindowFilter:
 
     def __init__(self, config: FilterConfig):
         self.config = config
-        multiplier, self._shift = _scale(config)
+        multiplier, self._shift, self._sums, self._width = _layout(config)
+        sums, width = self._sums, self._width
         self._max_raw = max_raw = config.sample_format.max_raw
-        self._sums = sums = _sum_bytes(config)  # F, the product's field width
-        self._width = width = _field_bytes(config)  # W, a scaled sum's
         # m folds into the weights where the product's fields are W bytes;
         # otherwise the widened sums take it, one multiply per block
         fold = sums == width
@@ -264,25 +264,6 @@ class GammaWindowFilter:
         return stream
 
 
-def _scale(config: FilterConfig) -> tuple[int, int]:
-    """(m, s), s a whole number of bytes, such that ``(A * m) >> s`` is the
-    output mode's floor(A / divisor) for every sum 0 <= A <= max_raw * raw_sum
-    (proof in the ``fixed_point`` module note)."""
-    weights = config.weights
-    if config.mode == MODE_NORMALIZED:
-        bound = config.sample_format.max_raw * weights.raw_sum
-        shift = _whole_bytes(bound.bit_length() + weights.raw_sum.bit_length())
-        return -(-(1 << shift) // weights.raw_sum), shift
-    frac_bits = weights.qformat.frac_bits
-    shift = _whole_bytes(frac_bits)
-    return 1 << (shift - frac_bits), shift
-
-
-def _whole_bytes(bits: int) -> int:
-    """``bits`` rounded up to a multiple of 8."""
-    return -(-bits // 8) * 8
-
-
 def _at(j: int, size: int) -> int:
     """The offset of byte j, counted from the least significant, in a
     ``size``-byte field in native byte order."""
@@ -298,28 +279,36 @@ _ARRAY_CODES = {array(code).itemsize: code for code in "HILQ"}
 _WIDEN_FROM = 20
 
 
-def _sum_bytes(config: FilterConfig) -> int:
-    """Field width in bytes of the packed product: the fewest bytes n1
-    that hold N = max_raw * raw_sum, the largest window sum, or W
-    (``_field_bytes``) where taps * (W - n1) is below ``_WIDEN_FROM``."""
-    bound = config.sample_format.max_raw * config.weights.raw_sum
-    least = -(-bound.bit_length() // 8)
-    width = _field_bytes(config)
-    return least if config.taps * (width - least) >= _WIDEN_FROM else width
+def _layout(config: FilterConfig) -> tuple[int, int, int, int]:
+    """(m, s, F, W): the kernel's scale, shift and field widths in bytes.
 
+    With N = max_raw * raw_sum, the largest window sum, ``(A * m) >> s`` is
+    the output mode's floor(A / divisor) for every sum 0 <= A <= N (proof
+    in the ``fixed_point`` module note); s is a whole number of bytes.
 
-def _field_bytes(config: FilterConfig) -> int:
-    """Field width W in bytes of the scaled sums: no A * m reaches
-    2**(8W), and a field holds byte s // 8, where the output starts.
+    W is the field width of the scaled sums: no A * m reaches 2**(8W), and
+    a field holds byte s // 8, where the output starts.  A scaled sum is
+    m * sum(w[i] * s[k - i]) <= m * N, as all operands are non-negative.
+    W is rounded up to an array item size where one exists, so ``_unpack``
+    reads the fields in C.
 
-    A scaled sum is m * sum(w[i] * s[k - i]) <= m * max_raw * raw_sum, as
-    all operands are non-negative.  W is rounded up to an array item size
-    where one exists, so ``_unpack`` reads the fields in C.
+    F is the field width of the packed product: the fewest bytes n1 that
+    hold N, or W where taps * (W - n1) is below ``_WIDEN_FROM``.
     """
-    multiplier, shift = _scale(config)
-    bound = config.sample_format.max_raw * config.weights.raw_sum * multiplier
-    need = max(-(-bound.bit_length() // 8), shift // 8 + 1)
-    return min((size for size in _ARRAY_CODES if size >= need), default=need)
+    weights = config.weights
+    bound = config.sample_format.max_raw * weights.raw_sum
+    if config.mode == MODE_NORMALIZED:
+        shift = -(-(bound.bit_length() + weights.raw_sum.bit_length()) // 8) * 8
+        multiplier = -(-(1 << shift) // weights.raw_sum)
+    else:
+        frac_bits = weights.qformat.frac_bits
+        shift = -(-frac_bits // 8) * 8
+        multiplier = 1 << (shift - frac_bits)
+    least = -(-bound.bit_length() // 8)
+    need = max(-(-(bound * multiplier).bit_length() // 8), shift // 8 + 1)
+    width = min((size for size in _ARRAY_CODES if size >= need), default=need)
+    sums = least if config.taps * (width - least) >= _WIDEN_FROM else width
+    return multiplier, shift, sums, width
 
 
 def _unpack(data: memoryview, width: int):

@@ -40,12 +40,11 @@ latency steps, and a steady stretch is a single run: the change-only idea
 of a value change dump (IEEE Std 1364-2005, clause 18).  The facts of a
 pattern are the stage plan's, made once per pipeline on first use: its
 ops, counted by popcount over one bit mask per distinct stage op triple,
-and its occupancy tuple.  The cycle CSV reads only the columns and the
-ops: ``csv_rows`` builds an all-busy stretch of runs a thousand rows at
-a time, as bytes where a block's values fit a byte, and any other tick
-gets a row of its own.  Per-tick ``CycleReport`` views, for
-tests and checks only, carry four fields, and the views of one pattern
-share its tuple.
+and its occupancy tuple.  The cycle CSV reads only the columns, in
+place, and the ops: ``csv_rows`` builds an all-busy stretch of runs from
+its tick range a thousand rows at a time, and any other tick gets a row
+of its own.  Per-tick ``CycleReport`` views, for tests and checks only,
+carry four fields, and the views of one pattern share its tuple.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
@@ -228,11 +227,11 @@ def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
 
     Inputs and outputs print as ``%d`` prints them; idle ones are empty
     fields.  A stretch of runs with every stage busy consumed and emitted
-    on each of its ticks, so ``numbered_rows`` builds it a thousand rows
-    at a time: as bytes where a block's values fit a byte, else through
-    the ``%d`` template, say for an output edited past the sample format.
-    Any other stretch gets one row per tick, up to a thousand rows per
-    block, its values formatted with ``%d``.
+    on each of its ticks, so ``numbered_rows`` builds it from the columns
+    in place, a thousand rows at a time: as bytes where a block's values
+    fit a byte, else with ``%d``, say for an output edited past the sample
+    format.  Any other stretch gets one row per tick, up to a thousand
+    rows per block, its values formatted with ``%d``.
     """
     plan, inputs, outputs = trace.plan, trace.inputs, trace.outputs
     full = plan.full
@@ -245,8 +244,7 @@ def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
         if busy:
             if busy_end is None:
                 busy_end = ",%d,%d,%d\n" % plan[full]
-            yield from numbered_rows(trace.first_cycle + tick, inputs[tick:stop],
-                                     outputs[tick:stop], stop - tick, busy_end)
+            yield from numbered_rows(trace.first_cycle, inputs, outputs, tick, stop, busy_end)
         else:
             triples = list(map(plan.__getitem__, patterns))
             texts.update((ops, ",%d,%d,%d\n" % ops) for ops in set(triples) - texts.keys())

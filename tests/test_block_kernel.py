@@ -28,9 +28,7 @@ from gdswu.core import (
     MODE_RAW,
     MODES,
     GammaWindowFilter,
-    _field_bytes,
-    _scale,
-    _sum_bytes,
+    _layout,
     check_sample,
     make_config,
 )
@@ -141,8 +139,7 @@ def test_full_scale_stream_fills_every_field_without_carry(
         a=1, b=8.0, taps=taps, frac_bits=frac_bits, mode=mode,
         sample_int_bits=sample_int_bits,
     )
-    assert _field_bytes(config) == widths[MODES.index(mode)]
-    assert _sum_bytes(config) == sums[MODES.index(mode)]
+    assert _layout(config)[2:] == (sums[MODES.index(mode)], widths[MODES.index(mode)])
     top = config.sample_format.max_raw
     stream = [top] * (3 * taps) + [0, top, 1, top - 1] * taps
     assert GammaWindowFilter(config).run(stream) == oracle(config, stream)
@@ -161,7 +158,7 @@ def test_the_largest_sum_and_the_one_below_it(sample_int_bits, frac_bits, taps, 
         a=1, b=8.0, taps=taps, frac_bits=frac_bits, mode=mode,
         sample_int_bits=sample_int_bits,
     )
-    assert _field_bytes(config) == widths[MODES.index(mode)]
+    assert _layout(config)[3] == widths[MODES.index(mode)]
     top, raw = config.sample_format.max_raw, config.weights.raw
     full = [top] * (2 * taps)
     below = list(full)
@@ -181,10 +178,10 @@ def test_the_output_byte_lies_inside_a_field_whose_sums_fit_below_it(frac_bits, 
     config = make_config(
         a=1, b=8.0, taps=8, frac_bits=frac_bits, mode=MODE_RAW, sample_int_bits=1
     )
-    multiplier, shift = _scale(config)
+    multiplier, shift, _, field = _layout(config)
     assert config.weights.raw_sum < 1 << frac_bits
     assert (config.weights.raw_sum * multiplier).bit_length() <= shift
-    assert _field_bytes(config) == width == shift // 8 + 1
+    assert field == width == shift // 8 + 1
     stream = [1] * 20 + [0, 1, 1, 0] * 5
     assert GammaWindowFilter(config).run(stream) == oracle(config, stream) == [0] * 40
 
@@ -196,7 +193,7 @@ def test_multiply_and_shift_is_the_floor_division_at_every_quotient_edge(data):
     w = config.weights
     divisor = w.raw_sum if config.mode == MODE_NORMALIZED else 1 << w.qformat.frac_bits
     bound = config.sample_format.max_raw * w.raw_sum
-    multiplier, shift = _scale(config)
+    multiplier, shift, _, _ = _layout(config)
     assert shift % 8 == 0
     quotients = st.integers(0, bound // divisor)
     for q in data.draw(st.lists(quotients, min_size=1, max_size=50)) + [0, bound // divisor]:
@@ -264,9 +261,10 @@ def bad_samples(config):
     4-byte items in 3-byte fields, 2**(8 * 3) and one more, whose low bytes
     are in range and whose high byte the fields drop."""
     top = config.sample_format.max_raw
-    dropped = 1 << 8 * _sum_bytes(config)
+    _, _, sums, width = _layout(config)
+    dropped = 1 << 8 * sums
     bad = [1.5, "3", -1, 256, dropped, dropped + 1, 2**32, 2**64, Index(-2), top + 1,
-           Index(top + 1), (1 << 8 * _field_bytes(config)) - 1]
+           Index(top + 1), (1 << 8 * width) - 1]
     return [x for x in bad if not (type(x) is int and 0 <= x <= top)]
 
 

@@ -5,6 +5,7 @@ domain error.  Every failure is one ``error:`` line on stderr, never a
 traceback.
 """
 
+import argparse
 import csv
 import errno
 import gc
@@ -25,6 +26,7 @@ from gdswu.cli import DataError, main
 from gdswu.core import make_config, step_response
 from gdswu.gamma_weights import MAX_TAPS
 from gdswu.oracle import oracle_exact
+from gdswu.systolic import build_pipeline, cycle_csv_blocks, run_pipeline
 from reference_systolic import build_reference, run_reference
 from strategies import configs
 
@@ -574,7 +576,8 @@ def test_simulate_footer_of_a_stream_shorter_than_the_pipeline(capsys, csv_file,
     }
 
 
-def test_a_wide_simulate_stays_under_one_young_collection(tmp_path):
+@pytest.mark.parametrize("architecture", ["tree", "chain"])
+def test_a_wide_simulate_stays_under_one_young_collection(tmp_path, architecture):
     # A young collection while the 32,768-item input, output and stream
     # lists are young walks every item: about 2 ms, 3-5 % of a 64-tap
     # simulate.  The command's net GC-tracked allocations must stay under
@@ -582,7 +585,8 @@ def test_a_wide_simulate_stays_under_one_young_collection(tmp_path):
     path = tmp_path / "in.csv"
     rng = random.Random(1)
     path.write_text("".join(f"{rng.randint(0, 127)}\n" for _ in range(32768)), encoding="utf-8")
-    argv = ["simulate", str(path), "--taps", "64", "-o", os.devnull, "--summary", os.devnull]
+    argv = ["simulate", str(path), "--taps", "64", "--architecture", architecture,
+            "-o", os.devnull, "--summary", os.devnull]
     assert main(argv) == 0  # the first call fills the interpreter's own caches
     gc.collect()
     gc.disable()
@@ -785,6 +789,23 @@ def test_a_run_csv_holds_one_block_in_memory(tmp_path, bits):
     assert path.read_text(encoding="utf-8") == _f_string_rows(samples, outputs)
 
 
+@pytest.mark.parametrize("architecture", ["tree", "chain"])
+def test_a_cycle_csv_holds_one_block_in_memory(architecture):
+    # A copy of a 200,000-tick column is 1.6 MB; a block of a thousand
+    # rows is a few tens of kB.
+    rng = random.Random(2)
+    samples = [rng.randint(0, 127) for _ in range(200000)]
+    _, trace = run_pipeline(build_pipeline(make_config(taps=16), architecture), samples)
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            fh.writelines(cycle_csv_blocks(trace))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 RUN_TAPS_4_RAW = """\
 index,input,output
 0,5,0
@@ -893,3 +914,63 @@ def test_usage_error_exits_2_without_a_traceback():
         "gdswu run: error: the following arguments are required: input\n"
     )
     assert "Traceback" not in done.stderr
+
+
+# Each command's flags in order: (option strings, dest, default, type or
+# choices, required), after the help flag.
+_CONFIG_FLAGS = [
+    (("--config",), "config", None, None, False),
+    (("--shape", "-a"), "a", None, int, False),
+    (("--scale", "-b"), "b", None, float, False),
+    (("--taps",), "taps", None, int, False),
+    (("--frac-bits",), "frac_bits", None, int, False),
+    (("--rounding",), "rounding", None, ("half-up", "half-even"), False),
+    (("--mode",), "mode", None, ("normalized-average", "raw-accumulate"), False),
+    (("--sample-int-bits",), "sample_int_bits", None, int, False),
+    (("--sample-offset",), "sample_offset", None, float, False),
+]
+_SOURCE_FLAGS = [
+    *_CONFIG_FLAGS,
+    ((), "input", None, None, True),
+    (("--has-header",), "has_header", False, None, False),
+]
+_OUTPUT = (("-o", "--output"), "output", "-", None, False)
+_SUMMARY = (("--summary",), "summary", "-", None, False)
+GRAMMAR = {
+    "weights": _CONFIG_FLAGS,
+    "run": [*_SOURCE_FLAGS, _OUTPUT],
+    "step": [
+        *_CONFIG_FLAGS,
+        (("--seed",), "seed", 0x7F, cli.parse_int_literal, False),
+        (("--length",), "length", None, int, False),
+        _OUTPUT,
+        _SUMMARY,
+    ],
+    "inject": [
+        *_SOURCE_FLAGS,
+        (("--kind",), "kind", "spike", ("spike", "stuck", "dropout"), False),
+        (("--at",), "at", None, int, True),
+        (("--duration",), "duration", 1, int, False),
+        (("--magnitude",), "magnitude", 0, cli.parse_int_literal, False),
+        _SUMMARY,
+    ],
+    "simulate": [
+        *_SOURCE_FLAGS,
+        (("--architecture",), "architecture", "tree", ("tree", "chain"), False),
+        _OUTPUT,
+        _SUMMARY,
+    ],
+}
+
+
+def test_each_command_takes_its_flags_in_order():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(GRAMMAR)
+    for name, flags in GRAMMAR.items():
+        got = [
+            (tuple(a.option_strings), a.dest, a.default,
+             a.type if a.choices is None else tuple(a.choices), a.required)
+            for a in commands.choices[name]._actions
+        ]
+        assert got == [(("-h", "--help"), "help", argparse.SUPPRESS, None, False), *flags], name

@@ -82,25 +82,29 @@ WIDE_VALUES = (256, -1, 2**64)
 @settings(max_examples=60, deadline=None)
 @given(first=st.one_of(st.sampled_from([999, 1000, 9999, 10000, 99999, 100000, 999999, 1000000]),
                        st.integers(0, 3000)),
+       lo=st.one_of(st.just(0), st.integers(1, 2100)),
        rows=st.integers(0, 2100),
        wide=st.lists(st.tuples(st.integers(0, 2099), st.booleans(), st.sampled_from(WIDE_VALUES)),
                      max_size=3),
        end=st.sampled_from(["\n", ",64,63,1\n"]))
-@example(first=999, rows=1100, wide=[], end="\n")  # bytes, across 1,000
-@example(first=9999, rows=1500, wide=[(0, False, 256)], end="\n")  # %d, then bytes across 10,000
-@example(first=99999, rows=2002, wide=[(2001, True, -1)], end=",64,63,1\n")  # bytes, then %d
-@example(first=999999, rows=1003, wide=[(1, True, 2**64)], end="\n")  # bytes, %d, bytes
-@example(first=0, rows=1001, wide=[(1000, False, 2**64)], end=",64,63,1\n")  # block 0 bytes
-def test_numbered_rows_match_rows_formatted_one_at_a_time(first, rows, wide, end):
+@example(first=999, lo=0, rows=1100, wide=[], end="\n")  # bytes, across 1,000
+@example(first=9999, lo=0, rows=1500, wide=[(0, False, 256)], end="\n")  # %d, then bytes across 10,000
+@example(first=99999, lo=0, rows=2002, wide=[(2001, True, -1)], end=",64,63,1\n")  # bytes, then %d
+@example(first=999999, lo=0, rows=1003, wide=[(1, True, 2**64)], end="\n")  # bytes, %d, bytes
+@example(first=0, lo=0, rows=1001, wide=[(1000, False, 2**64)], end=",64,63,1\n")  # block 0 bytes
+@example(first=999, lo=1001, rows=1100, wide=[(5, True, 256)], end="\n")  # from row lo, %d first
+def test_numbered_rows_match_rows_formatted_one_at_a_time(first, lo, rows, wide, end):
     xs = [BYTE_VALUES[i % 7] if i % 3 else (i * 0x9E3779B97F4A7C15) % 256 for i in range(rows)]
     ys = [BYTE_VALUES[i % 5] if i % 2 else (i * i) % 256 for i in range(rows)]
     for at, column, value in wide:
         if at < rows:
             (ys if column else xs)[at] = value
     want = "".join(f"{first + i},{x:d},{y:d}{end}" for i, (x, y) in enumerate(zip(xs, ys)))
-    assert "".join(numbered_rows(first, xs, ys, rows, end)) == want
-    # the columns are read from index 0 for rows items only
-    assert "".join(numbered_rows(first, xs + [256], ys + [-1], rows, end)) == want
+    assert "".join(numbered_rows(first, xs, ys, 0, rows, end)) == want
+    # rows lo to lo + rows - 1, numbered from first; the columns hold items
+    # before lo and after lo + rows that must not be read
+    xs, ys = [256] * lo + xs + [256], [-1] * lo + ys + [-1]
+    assert "".join(numbered_rows(first - lo, xs, ys, lo, lo + rows, end)) == want
 
 
 class _Index:

@@ -15,7 +15,7 @@ from itertools import cycle
 
 import pytest
 
-from gdswu.core import MODE_RAW, MODES, GammaWindowFilter, _field_bytes, _sum_bytes, make_config
+from gdswu.core import MODE_RAW, MODES, GammaWindowFilter, _layout, make_config
 from gdswu.fixed_point import ROUNDING_MODES
 from gdswu.systolic import ARCHITECTURES, build_pipeline, run_pipeline
 from reference_systolic import build_reference, run_reference
@@ -76,7 +76,7 @@ def test_a_wrapped_de_bruijn_stream_holds_every_window_once(k, n):
 
 
 def test_the_configs_read_by_both_paths_and_saturate_and_not():
-    widened = [_sum_bytes(c) < _field_bytes(c) for c in CONFIGS]
+    widened = [sums < width for _, _, sums, width in map(_layout, CONFIGS)]
     raw = [c for c in CONFIGS if c.mode == MODE_RAW]
     saturating = [c.weights.raw_sum > 1 << c.weights.qformat.frac_bits for c in raw]
     assert len(CONFIGS) >= 64

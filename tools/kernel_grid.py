@@ -12,13 +12,14 @@ taken moments apart.  For every config of the grid (sample bits 1, 7, 8,
 weight bits) both filters must give the same outputs on a fixed
 pseudo-random stream of N samples; then each round takes the timeit
 minimum of one filter's ``run`` over that stream on each side,
-alternating which side goes first.  A second table does the same for the
-whole command, ``gdswu run`` through each side's ``cli.main`` on a CSV of
-65,536 samples at every sample width (default flags otherwise), its CSV
-written to a file; the two sides' CSVs must be byte-identical.  Each
-table gives each side's median over rounds, the ratio new/base and the
-rounds the new checkout won.  Standard library only; it is not part of
-the test suite.
+alternating which side goes first.  Two more tables do the same for whole
+commands through each side's ``cli.main`` on a CSV of 65,536 samples at
+every sample width (default flags otherwise): ``gdswu run``, and ``gdswu
+simulate`` for the tree and the chain.  Each command writes its CSV, and
+``simulate`` its footer, to files, and the two sides' files must be
+byte-identical.  Each table gives each side's median over rounds, the
+ratio new/base and the rounds the new checkout won.  Standard library
+only; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import pathlib
 import random
 import shutil
 import statistics
@@ -37,6 +39,12 @@ SAMPLE_BITS = (1, 7, 8, 9, 12, 16, 20, 64)
 CLI_ROWS = 65536
 TAPS = (4, 16, 64, 256)
 MODES = ("normalized-average", "raw-accumulate")
+# each whole command timed: the extra flags of each of its table rows, and
+# the flags that name the files it writes
+COMMANDS = {
+    "run": ([()], ("-o",)),
+    "simulate": ([("--architecture", "tree"), ("--architecture", "chain")], ("-o", "--summary")),
+}
 
 
 def best(run, number: int) -> float:
@@ -99,28 +107,34 @@ def main(argv=None) -> int:
                     return 1
                 print(f"{bits:>4} {taps:>4} {mode:<18} {paired(runs, args.rounds)}", flush=True)
 
-    print(f"# gdswu run, {CLI_ROWS} rows, {args.rounds} rounds; timeit minimums in ms")
-    print(f"{'bits':>4} {'base':>9} {'new':>9} {'new/base':>8} {'wins':>5}")
     with tempfile.TemporaryDirectory() as tmp:
+        inputs = {}
         for bits in SAMPLE_BITS:
             rng = random.Random(bits)
-            path = os.path.join(tmp, "in.csv")
-            with open(path, "w", encoding="utf-8") as fh:
+            inputs[bits] = os.path.join(tmp, f"in{bits}.csv")
+            with open(inputs[bits], "w", encoding="utf-8") as fh:
                 fh.writelines(f"{rng.getrandbits(bits)}\n" for _ in range(CLI_ROWS))
-            runs, csvs = {}, {}
-            for side, cli in clis.items():
-                out = os.path.join(tmp, f"{side}.csv")
-                argv = ["run", path, "--sample-int-bits", str(bits), "-o", out]
-                runs[side] = lambda main=cli.main, argv=argv: main(argv)
-                if runs[side]() != 0:
-                    print(f"{bits}-bit run: {side} checkout failed", file=sys.stderr)
-                    return 1
-                with open(out, "rb") as fh:
-                    csvs[side] = fh.read()
-            if csvs["base"] != csvs["new"]:
-                print(f"{bits}-bit run: the CSVs differ between the checkouts", file=sys.stderr)
-                return 1
-            print(f"{bits:>4} {paired(runs, args.rounds)}", flush=True)
+        for command, (variants, writes) in COMMANDS.items():
+            print(f"# gdswu {command}, {CLI_ROWS} rows, {args.rounds} rounds; timeit minimums in ms")
+            print(f"{'bits':>4} {'flags':<22} {'base':>9} {'new':>9} {'new/base':>8} {'wins':>5}")
+            for bits in SAMPLE_BITS:
+                for flags in variants:
+                    name = f"{bits}-bit {command} {' '.join(flags)}"
+                    runs, files = {}, {}
+                    for side, cli in clis.items():
+                        outs = [os.path.join(tmp, f"{side}{k}") for k in range(len(writes))]
+                        argv = [command, inputs[bits], "--sample-int-bits", str(bits), *flags]
+                        for flag, out in zip(writes, outs):
+                            argv += [flag, out]
+                        runs[side] = lambda main=cli.main, argv=argv: main(argv)
+                        if runs[side]() != 0:
+                            print(f"{name}: {side} checkout failed", file=sys.stderr)
+                            return 1
+                        files[side] = [pathlib.Path(out).read_bytes() for out in outs]
+                    if files["base"] != files["new"]:
+                        print(f"{name}: the outputs differ between the checkouts", file=sys.stderr)
+                        return 1
+                    print(f"{bits:>4} {' '.join(flags):<22} {paired(runs, args.rounds)}", flush=True)
     return 0
 
 
