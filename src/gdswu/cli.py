@@ -3,16 +3,17 @@
 All data outputs are deterministic: CSV with LF line endings, JSON with a
 stable key order, no timestamps.  Seeds and magnitudes accept 0x-prefixed
 hex; CSV values are always decimal.  Exit codes: 0 success, 1 data error
-(unreadable input, malformed or out-of-range input row, a reader that
-closed stdout early, or running out of memory), 2 usage or domain error
-(an unreadable config file and an output that cannot be opened or written
-included).
+(unreadable input, a closed stdin included, malformed or out-of-range
+input row, a reader that closed stdout early, or running out of memory),
+2 usage or domain error (an unreadable config file and an output that
+cannot be opened or written included, a closed stdout too).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -120,7 +121,7 @@ def _read_samples(path: str, has_header: bool, max_raw: int) -> list[int]:
     """
     try:
         if path == "-":
-            data = sys.stdin.buffer.read()
+            data = _std(sys.stdin).buffer.read()
         else:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -227,6 +228,14 @@ def _check_level(flag: str, value: int, config: FilterConfig) -> None:
         raise ValueError(str(exc).replace("sample", flag, 1)) from None
 
 
+def _std(stream):
+    """``stream``, a standard stream; None, where its descriptor was closed
+    when the interpreter started, raises OSError."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
+
+
 def _stdout_to_devnull() -> None:
     """Point stdout at devnull, so that the flush at interpreter exit cannot
     fail again."""
@@ -241,7 +250,7 @@ def _open_out(path: str):
     is a domain error naming ``path``; a closed stdout pipe is let through."""
     try:
         if path == "-":
-            yield sys.stdout
+            yield _std(sys.stdout)
             sys.stdout.flush()
         else:
             with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -249,7 +258,7 @@ def _open_out(path: str):
     except BrokenPipeError:
         raise
     except OSError as exc:
-        if path == "-":
+        if path == "-" and sys.stdout is not None:
             _stdout_to_devnull()
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 

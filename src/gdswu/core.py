@@ -13,18 +13,15 @@ The filter's state is the last ``taps - 1`` samples, oldest first, carried
 from one block to the next.  ``run`` evaluates a whole block with one
 integer product (Kronecker substitution): the carried samples plus the
 block, and the raw weights, are each packed into one Python int with a
-field of F bytes per value, so field k of their product is the window sum
-A = sum(w[i] * s[k - i]), 0 <= A <= N = max_raw * raw_sum.  The output is
-``(A * m) >> s`` (division by multiply and shift, proved in the
-``fixed_point`` module note), and a scaled sum A * m needs W bytes;
-``_layout`` alone computes m, s, F and W.  The product costs about
-taps * F**2, so F is n1, the fewest bytes that hold N, and each sum is
-widened: copied into a W-byte field by strided slice assignments, after
-which one multiply of that int by m scales every sum at once.  Where n1
-is W, or where the window is too short for the narrower product to pay
-for the widen's passes (taps * (W - n1) below ``_WIDEN_FROM``),
-``_layout`` makes F equal to W and m is folded into the packed weights
-instead, so a field holds A * m.
+field of n1 bytes per value, the fewest that hold N = max_raw * raw_sum,
+so field k of their product is the window sum A = sum(w[i] * s[k - i]),
+0 <= A <= N.  The output is ``(A * m) >> s`` (division by multiply and
+shift, proved in the ``fixed_point`` module note), and a scaled sum A * m
+needs W bytes; ``_layout`` computes m, s, n1 and W from those bounds
+alone.  Each sum is widened, copied into a W-byte field by strided slice
+assignments, and one multiply of that int by m scales every sum at once.
+Where n1 is W a widen would copy nothing, so m is folded into the packed
+weights instead, and a product field holds A * m.
 
 The sample check is fused with the pack.  Samples of at most 8 bits pack
 with ``bytes``, wider ones with an ``array`` of 4- or 8-byte items; both
@@ -39,17 +36,18 @@ On any failure the block is checked again sample by sample
 (``check_samples``), which finds the valid prefix and the exact error, and
 only that prefix is filtered.
 
-The shift s is a whole number of bytes, so an output is a byte-aligned
-slice of its W-byte field.  Byte j of a value, counted from the least
-significant, lies at offset j of its field or array item of n bytes on a
-little-endian host and at n - 1 - j on a big-endian one (``sys.byteorder``,
-``_at``), for packing, widening and reading alike.
-When every output fits in one byte (samples of at most 8 bits in
-normalized mode, ``max_raw * raw_sum >> frac_bits`` below 256 in raw
-mode) the outputs are one strided slice of the scaled sums' bytes, one
-byte per field; otherwise each field is read whole and shifted.  In raw
-mode an output above ``max_raw`` is then clamped to it, a pass that runs
-only when one of the config's sums can saturate at all.
+The shift s is a whole number of bytes and A * m < 2**(8W), so an output
+is exactly the bytes of its W-byte field from byte s // 8 up.  Byte j of a
+value, counted from the least significant, lies at offset j of its field
+or array item of n bytes on a little-endian host and at n - 1 - j on a
+big-endian one (``sys.byteorder``, ``_at``), for packing, widening and
+reading alike.  The read gathers each output's bytes, by strided slice
+assignments, into items of the smallest array size that holds the largest
+output, and reads them with one ``array``; where every output fits in one
+byte the gathered bytes are the outputs.  Only an item wider than any
+array code is read one ``int.from_bytes`` at a time.  In raw mode an
+output above ``max_raw`` is then clamped to it, a pass that runs only
+when one of the config's sums can saturate at all.
 
 Warm-up uses zero padding: the carried samples start at zero like a
 hardware shift register after reset, and there is no partial-sum
@@ -159,10 +157,10 @@ class GammaWindowFilter:
 
     def __init__(self, config: FilterConfig):
         self.config = config
-        multiplier, self._shift, self._sums, self._width = _layout(config)
-        sums, width = self._sums, self._width
+        multiplier, shift, sums, width = _layout(config)
+        self._sums, self._width = sums, width
         self._max_raw = max_raw = config.sample_format.max_raw
-        # m folds into the weights where the product's fields are W bytes;
+        # m folds into the weights where a widen would copy nothing (n1 == W);
         # otherwise the widened sums take it, one multiply per block
         fold = sums == width
         self._multiplier = 0 if fold else multiplier
@@ -187,11 +185,13 @@ class GammaWindowFilter:
             (_at(j, sums), _at(j, item)) for j in range(-(-max_raw.bit_length() // 8))
         ]
         # the largest output before any clamp, that of the largest sum
-        top = (max_raw * config.weights.raw_sum * multiplier) >> self._shift
-        # the byte of a field where its output starts, read alone when every
-        # output fits in it
-        self._byte = _at(self._shift // 8, width) if top <= 255 else None
+        top = (max_raw * config.weights.raw_sum * multiplier) >> shift
         self._saturates = top > max_raw
+        # each byte of an output, from byte s // 8 of its field, and where it
+        # goes in an item of the smallest array size that holds top
+        size = -(-top.bit_length() // 8) or 1
+        self._out = out = min((n for n in _ARRAY_CODES if n >= size), default=size)
+        self._read = [(_at(j, out), _at(shift // 8 + j, width)) for j in range(size)]
         self._carry = bytes((config.taps - 1) * sums)  # packed, oldest sample first
 
     def run(self, samples: Iterable[int]) -> list[int]:
@@ -235,18 +235,21 @@ class GammaWindowFilter:
                 wide[wide_at::width] = data[lo + sum_at : hi : sums]
             data = (int.from_bytes(wide, order) * self._multiplier).to_bytes(len(wide), order)
             lo, hi = 0, len(wide)
-        if self._byte is not None:
-            outputs = list(data[lo + self._byte : hi : width])
+        out, read = self._out, self._read
+        if out == 1:
+            outputs = list(data[lo + read[0][1] : hi : width])
         else:
-            shift = self._shift
-            outputs = [a >> shift for a in _unpack(memoryview(data)[lo:hi], width)]
+            items = bytearray(len(values) * out)
+            for out_at, field_at in read:
+                items[out_at::out] = data[lo + field_at : hi : width]
+            outputs = _unpack(items, out)
         if self._saturates and max(outputs) > self._max_raw:
             top = self._max_raw
             outputs = [y if y <= top else top for y in outputs]
         return outputs, error
 
     def _pack(self, values: list):
-        """The carried samples, then ``values``, in F-byte fields, as a
+        """The carried samples, then ``values``, in n1-byte fields, as a
         bytes-like object.  A bad sample raises TypeError, ValueError or
         OverflowError (the fused check, in the module note)."""
         code, item = self._code, self._item
@@ -255,8 +258,6 @@ class GammaWindowFilter:
             if items[at::item].translate(None, allowed):
                 raise ValueError("a sample above max_raw")
         sums, carry = self._sums, self._carry
-        if item == sums:
-            return carry + items
         stream = bytearray(len(carry) + len(values) * sums)
         stream[: len(carry)] = carry
         for field_at, item_at in self._spread:
@@ -270,30 +271,22 @@ def _at(j: int, size: int) -> int:
     return j if sys.byteorder == "little" else size - 1 - j
 
 
-# array typecode per item size in bytes (2, 4 and 8 on common platforms)
-_ARRAY_CODES = {array(code).itemsize: code for code in "HILQ"}
-
-
-# the least taps * (W - n1) at which the narrower product saves more than
-# the widen's passes cost (product and read timed alone, 8,192 samples)
-_WIDEN_FROM = 20
+# array typecode per item size in bytes (1, 2, 4 and 8 on common platforms)
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 def _layout(config: FilterConfig) -> tuple[int, int, int, int]:
-    """(m, s, F, W): the kernel's scale, shift and field widths in bytes.
+    """(m, s, n1, W): the kernel's scale, shift and field widths in bytes.
 
     With N = max_raw * raw_sum, the largest window sum, ``(A * m) >> s`` is
     the output mode's floor(A / divisor) for every sum 0 <= A <= N (proof
     in the ``fixed_point`` module note); s is a whole number of bytes.
 
-    W is the field width of the scaled sums: no A * m reaches 2**(8W), and
-    a field holds byte s // 8, where the output starts.  A scaled sum is
-    m * sum(w[i] * s[k - i]) <= m * N, as all operands are non-negative.
-    W is rounded up to an array item size where one exists, so ``_unpack``
-    reads the fields in C.
-
-    F is the field width of the packed product: the fewest bytes n1 that
-    hold N, or W where taps * (W - n1) is below ``_WIDEN_FROM``.
+    n1, the field width of the packed product, is the fewest bytes that
+    hold N.  W is the field width of the scaled sums: no A * m reaches
+    2**(8W), and a field holds byte s // 8, where the output starts.  A
+    scaled sum is m * sum(w[i] * s[k - i]) <= m * N, as all operands are
+    non-negative.
     """
     weights = config.weights
     bound = config.sample_format.max_raw * weights.raw_sum
@@ -304,23 +297,19 @@ def _layout(config: FilterConfig) -> tuple[int, int, int, int]:
         frac_bits = weights.qformat.frac_bits
         shift = -(-frac_bits // 8) * 8
         multiplier = 1 << (shift - frac_bits)
-    least = -(-bound.bit_length() // 8)
-    need = max(-(-(bound * multiplier).bit_length() // 8), shift // 8 + 1)
-    width = min((size for size in _ARRAY_CODES if size >= need), default=need)
-    sums = least if config.taps * (width - least) >= _WIDEN_FROM else width
+    sums = -(-bound.bit_length() // 8)
+    width = max(-(-(bound * multiplier).bit_length() // 8), shift // 8 + 1)
     return multiplier, shift, sums, width
 
 
-def _unpack(data: memoryview, width: int):
-    """The ``width``-byte fields of ``data``, as ints."""
-    code = _ARRAY_CODES.get(width)
+def _unpack(data: bytearray, size: int) -> list[int]:
+    """The ``size``-byte items of ``data``, as ints."""
+    code = _ARRAY_CODES.get(size)
     if code is not None:
-        fields = array(code)
-        fields.frombytes(data)
-        return fields
+        return array(code, data).tolist()
     return [
-        int.from_bytes(data[k : k + width], sys.byteorder)
-        for k in range(0, len(data), width)
+        int.from_bytes(data[k : k + size], sys.byteorder)
+        for k in range(0, len(data), size)
     ]
 
 

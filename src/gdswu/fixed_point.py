@@ -12,8 +12,8 @@ n / d, scaled by 2**frac_bits, with integer division alone.
 
 The filter stays exact in one way: a width proven not to overflow.  Its
 one kernel (``core.GammaWindowFilter._run_block``, which ``run`` and the
-pipeline models share) packs samples and weights into fields of F bytes of
-one Python int and multiplies once, so each product field is a whole
+pipeline models share) packs samples and weights into fields of n1 bytes
+of one Python int and multiplies once, so each product field is a whole
 window sum A.  The output is read as ``(A * m) >> s``.
 
 With samples in 0..max_raw and non-negative weights summing to raw_sum,
@@ -39,13 +39,13 @@ they hold for every QFormat, 64-bit samples included:
 - N * m < 2**(8 * W), and W > s // 8.  A field of W bytes holds every
   scaled sum, and the byte where its output starts lies inside it.
 
-m >= 1, so n1 <= W.  Where the product's fields are W bytes wide (n1 == W,
-or a short window that the kernel multiplies in W-byte fields), m folds
-into the packed weights and each product field is A * m, below 2**(8W) by
-the second bound.  Otherwise the product's fields are n1 bytes: each sum
-is copied whole into the low bytes of a W-byte field, and one multiply of
-that int by m makes field k A_k * m, again below 2**(8W), so the scaled
-fields do not carry into each other either.
+m >= 1, so n1 <= W.  The product's fields are n1 bytes.  Where n1 < W
+each sum is copied whole into the low bytes of a W-byte field, and one
+multiply of that int by m makes field k A_k * m, below 2**(8W) by the
+second bound, so the scaled fields do not carry into each other.  Where
+n1 == W, m folds into the packed weights instead, and each product field
+is A * m, below 2**(8W) as well.  Either way s is a whole number of bytes,
+so an output is exactly the bytes of its field from byte s // 8 up.
 
 ``mac_exact`` is a plain Python-int multiply-accumulate that the filter
 does not call; it is kept only for the benchmark harness, which wraps it.

@@ -113,52 +113,65 @@ def test_chunked_run_equals_one_shot(data):
     assert filt.run(probe) == one_shot.run(probe)
 
 
-# (normalized, raw-accumulate) widths: a scaled field holds the scaled bound
-# max_raw * raw_sum * m and the byte s // 8 where the output starts; a
-# product field holds the bound max_raw * raw_sum, and is as wide as the
-# scaled one where m folds into the weights.  At 1 bit and 32 taps the sums
-# fit 1 byte but the output starts in byte 1, so they are widened.
+# (normalized, raw-accumulate) layouts, each worked out from N = max_raw *
+# raw_sum and the mode's m and s: a product field is n1 bytes, the fewest
+# that hold N; a scaled field is W = max(bytes(N * m), s / 8 + 1) bytes, so
+# it holds the scaled bound N * m and the byte s / 8 where the output
+# starts; and the outputs are read into items of the smallest array size
+# (1, 2, 4 or 8 bytes) that holds the largest output (N * m) >> s, or of its
+# own byte count where that is wider than 8.  m folds into the weights where
+# n1 == W.  At 1 bit the sums fit 1 byte but the output starts in byte 1,
+# so they are widened.  The comment on each row gives bitlen(N), then s and
+# bitlen(N * m) per mode.
 @pytest.mark.parametrize(
-    "sample_int_bits, frac_bits, taps, widths, sums",
+    "sample_int_bits, frac_bits, taps, widths, sums, items",
     [
-        (1, 4, 8, (2, 2), (2, 2)),
-        (7, 7, 16, (4, 2), (2, 2)),
-        (7, 12, 64, (8, 4), (3, 3)),
-        (20, 12, 64, (9, 8), (5, 5)),
-        (60, 7, 16, (18, 9), (9, 9)),
-        (64, 14, 64, (20, 11), (10, 10)),
-        (1, 4, 32, (2, 2), (1, 1)),
+        (1, 4, 8, (2, 2), (1, 1), (1, 1)),  # 4; 8, 9; 8, 8
+        (7, 7, 16, (4, 2), (2, 2), (1, 1)),  # 14; 24, 31; 8, 15
+        (7, 12, 64, (6, 3), (3, 3), (1, 1)),  # 20; 40, 47; 16, 24
+        (20, 12, 64, (9, 5), (5, 5), (4, 4)),  # 33; 48, 68; 16, 37
+        (60, 7, 16, (18, 9), (9, 9), (8, 8)),  # 67; 80, 140; 8, 68
+        (64, 14, 64, (20, 11), (10, 10), (8, 9)),  # 79; 96, 160; 16, 81
+        (1, 4, 32, (2, 2), (1, 1), (1, 1)),  # 4; 8, 9; 8, 8
+        (12, 7, 16, (6, 3), (3, 3), (2, 2)),  # 19; 32, 44; 8, 20
+        (32, 7, 16, (10, 5), (5, 5), (4, 4)),  # 39; 48, 80; 8, 40
     ],
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_full_scale_stream_fills_every_field_without_carry(
-    sample_int_bits, frac_bits, taps, widths, sums, mode
+    sample_int_bits, frac_bits, taps, widths, sums, items, mode
 ):
     # A full-scale stream drives every sum to its bound max_raw * raw_sum.
     config = make_config(
         a=1, b=8.0, taps=taps, frac_bits=frac_bits, mode=mode,
         sample_int_bits=sample_int_bits,
     )
-    assert _layout(config)[2:] == (sums[MODES.index(mode)], widths[MODES.index(mode)])
+    k = MODES.index(mode)
+    assert _layout(config)[2:] == (sums[k], widths[k])
+    filt = GammaWindowFilter(config)
+    assert filt._out == items[k]
     top = config.sample_format.max_raw
     stream = [top] * (3 * taps) + [0, top, 1, top - 1] * taps
-    assert GammaWindowFilter(config).run(stream) == oracle(config, stream)
+    assert filt.run(stream) == oracle(config, stream)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize(
-    "sample_int_bits, frac_bits, taps, widths",
-    [(1, 4, 8, (2, 2)), (64, 14, 64, (20, 11))],
+    "sample_int_bits, frac_bits, taps, widths, sums",
+    # bitlen(N) 4 and 79; s 8 and 8, 96 and 16; bitlen(N * m) 9 and 8,
+    # 160 and 81, so W = max(bytes(N * m), s / 8 + 1) and n1 = bytes(N)
+    [(1, 4, 8, (2, 2), (1, 1)), (64, 14, 64, (20, 11), (10, 10))],
     ids=["narrowest", "widest"],
 )
-def test_the_largest_sum_and_the_one_below_it(sample_int_bits, frac_bits, taps, widths, mode):
+def test_the_largest_sum_and_the_one_below_it(sample_int_bits, frac_bits, taps, widths, sums, mode):
     # The last output's window sums to N = max_raw * raw_sum, then to N - 1
     # with one sample lowered by 1 under a weight of 1.
     config = make_config(
         a=1, b=8.0, taps=taps, frac_bits=frac_bits, mode=mode,
         sample_int_bits=sample_int_bits,
     )
-    assert _layout(config)[3] == widths[MODES.index(mode)]
+    k = MODES.index(mode)
+    assert _layout(config)[2:] == (sums[k], widths[k])
     top, raw = config.sample_format.max_raw, config.weights.raw
     full = [top] * (2 * taps)
     below = list(full)
@@ -244,7 +257,8 @@ class Index:
         return self.value
 
 
-# samples packed as bytes into product fields of 4 and 2 bytes, and as
+# samples packed as bytes into 2-byte product fields (widened to 4 bytes in
+# normalized mode; in raw mode n1 == W and m folds into the weights), and as
 # array items of 4 bytes into 3-byte fields and of 8 bytes into 10-byte ones
 CHECK_CONFIGS = {
     "normalized": make_config(taps=4),
@@ -259,7 +273,8 @@ def bad_samples(config):
     refuses.  The packers take an int above max_raw that fits an item, by
     ``__index__`` too, which a ``translate`` test must then reject; and, for
     4-byte items in 3-byte fields, 2**(8 * 3) and one more, whose low bytes
-    are in range and whose high byte the fields drop."""
+    are in range and whose high byte the fields drop; and the largest value
+    of a W-byte scaled field."""
     top = config.sample_format.max_raw
     _, _, sums, width = _layout(config)
     dropped = 1 << 8 * sums

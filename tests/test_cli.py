@@ -224,6 +224,34 @@ def test_failed_write_is_one_error_line_with_exit_2(csv_file, argv, path):
     assert done.stderr == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
 
 
+BADF = os.strerror(errno.EBADF)
+
+
+@pytest.mark.parametrize(
+    "argv, fd, code, err",
+    [
+        (["weights"], 1, 2, f"error: cannot write -: {BADF}\n"),
+        (["run", "IN"], 1, 2, f"error: cannot write -: {BADF}\n"),
+        (["run", "-"], 0, 1, f"error: cannot read -: [Errno {errno.EBADF}] {BADF}\n"),
+    ],
+    ids=["weights-stdout", "run-stdout", "run-stdin"],
+)
+def test_a_closed_standard_stream_is_one_error_line(csv_file, argv, fd, code, err):
+    # The interpreter starts with fd 0 or fd 1 closed, as `<&-` and `>&-`
+    # leave it, so sys.stdin or sys.stdout is None.
+    argv = [csv_file([1, 2, 3]) if a == "IN" else a for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-m", "gdswu", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(fd),
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("length", [10**14, 10**20], ids=["1e14", "1e20"])
 def test_a_huge_step_length_streams_to_a_failed_write(length):

@@ -7,8 +7,8 @@ samples it holds each once as a window of the stream.  So a filter equal to
 ``oracle_exact`` on that stream is equal to it on every input of the
 config: a proof by exhaustion, not a sample.  The configs cover both
 modes, both roundings, weights of 1, 4, 7 and 9 fractional bits, sums
-read by the fold and by the widen, and raw configs that saturate and that
-cannot.
+widened into W-byte fields (n1 < W) and sums scaled with m folded into
+the weights (n1 == W), and raw configs that saturate and that cannot.
 """
 
 from itertools import cycle

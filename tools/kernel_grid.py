@@ -18,7 +18,8 @@ every sample width (default flags otherwise): ``gdswu run``, and ``gdswu
 simulate`` for the tree and the chain.  Each command writes its CSV, and
 ``simulate`` its footer, to files, and the two sides' files must be
 byte-identical.  Each table gives each side's median over rounds, the
-ratio new/base and the rounds the new checkout won.  Standard library
+median over rounds of the ratio new/base, each round's pair timed
+moments apart, and the rounds the new checkout won.  Standard library
 only; it is not part of the test suite.
 """
 
@@ -52,18 +53,21 @@ def best(run, number: int) -> float:
 
 
 def paired(runs: dict, rounds: int) -> str:
-    """Each side's median over ``rounds`` of timeit minimums, in ms, their
-    ratio new/base and the rounds the new side won, the first side
-    alternating."""
+    """Each side's median over ``rounds`` of timeit minimums, in ms, the
+    median of the rounds' new/base ratios and the rounds the new side won,
+    the first side alternating.  A round times its two sides moments
+    apart, so its ratio shares the host's load of that moment, which a
+    ratio of the two medians would not."""
     number = max(1, timeit.Timer(runs["base"]).autorange()[0] // 10)
     times = {"base": [], "new": []}
     for r in range(rounds):
         for side in ("base", "new") if r % 2 == 0 else ("new", "base"):
             times[side].append(best(runs[side], number))
+    ratios = [n / b for n, b in zip(times["new"], times["base"])]
     b = statistics.median(times["base"])
     n = statistics.median(times["new"])
-    wins = sum(x < y for x, y in zip(times["new"], times["base"]))
-    return f"{b * 1e3:>9.3f} {n * 1e3:>9.3f} {n / b:>8.3f} {wins:>2}/{rounds}"
+    wins = sum(ratio < 1 for ratio in ratios)
+    return f"{b * 1e3:>9.3f} {n * 1e3:>9.3f} {statistics.median(ratios):>8.3f} {wins:>2}/{rounds}"
 
 
 def main(argv=None) -> int:
