@@ -235,14 +235,11 @@ class GammaWindowFilter:
                 wide[wide_at::width] = data[lo + sum_at : hi : sums]
             data = (int.from_bytes(wide, order) * self._multiplier).to_bytes(len(wide), order)
             lo, hi = 0, len(wide)
-        out, read = self._out, self._read
-        if out == 1:
-            outputs = list(data[lo + read[0][1] : hi : width])
-        else:
-            items = bytearray(len(values) * out)
-            for out_at, field_at in read:
-                items[out_at::out] = data[lo + field_at : hi : width]
-            outputs = _unpack(items, out)
+        out = self._out
+        items = bytearray(len(values) * out)
+        for out_at, field_at in self._read:
+            items[out_at::out] = data[lo + field_at : hi : width]
+        outputs = _unpack(items, out)
         if self._saturates and max(outputs) > self._max_raw:
             top = self._max_raw
             outputs = [y if y <= top else top for y in outputs]
