@@ -36,6 +36,12 @@ On any failure the block is checked again sample by sample
 (``check_samples``), which finds the valid prefix and the exact error, and
 only that prefix is filtered.
 
+The kernel, ``_run_block``, is that check and then the product.  The
+check, ``_pack``, changes no state, and a block it accepts is valid
+whole; ``_product`` filters the packed block and carries its last samples
+on.  The pipeline models call the two apart, so that the check is also
+their test for an idle tick (``systolic`` module note).
+
 The shift s is a whole number of bytes and A * m < 2**(8W), so an output
 is exactly the bytes of its W-byte field from byte s // 8 up.  Byte j of a
 value, counted from the least significant, lies at offset j of its field
@@ -212,8 +218,10 @@ class GammaWindowFilter:
     def _run_block(self, samples: Iterable) -> tuple[list[int], Exception | None]:
         """The outputs of the longest valid prefix of ``samples``, by one
         packed product, and ``check_sample``'s error for the sample after
-        it (None when all are valid).  The one kernel: ``run`` and the
-        pipeline models call it, and the fault sweep calls ``run``."""
+        it (None when all are valid).  The one kernel, the check
+        (``_pack``) then the product (``_product``): ``run`` calls it, the
+        fault sweep calls ``run``, and the pipeline models call it or, on a
+        block the check accepts, its two parts."""
         values = samples if isinstance(samples, list) else list(samples)
         error = None
         try:
@@ -222,33 +230,40 @@ class GammaWindowFilter:
             # sample by sample: the valid prefix and the exact error
             values, error = check_samples(values, self._max_raw)
             stream = self._pack(values)
-        if not values:
-            return [], error
+        return self._product(stream, len(values)), error
+
+    def _product(self, stream: bytearray, count: int) -> list[int]:
+        """The outputs of the ``count`` samples that ``_pack`` packed into
+        ``stream``, by one packed product; their last taps - 1 become the
+        carried samples."""
+        if not count:
+            return []
         sums, width, order = self._sums, self._width, sys.byteorder
         lo, hi = (self.config.taps - 1) * sums, len(stream)
         data = (int.from_bytes(stream, order) * self._packed_weights).to_bytes(hi + lo, order)
         self._carry = stream[hi - lo:]
         if self._multiplier:
             # each sum into a W-byte field, then one multiply scales them all
-            wide = bytearray(len(values) * width)
+            wide = bytearray(count * width)
             for wide_at, sum_at in self._widen:
                 wide[wide_at::width] = data[lo + sum_at : hi : sums]
             data = (int.from_bytes(wide, order) * self._multiplier).to_bytes(len(wide), order)
             lo, hi = 0, len(wide)
         out = self._out
-        items = bytearray(len(values) * out)
+        items = bytearray(count * out)
         for out_at, field_at in self._read:
             items[out_at::out] = data[lo + field_at : hi : width]
         outputs = _unpack(items, out)
         if self._saturates and max(outputs) > self._max_raw:
             top = self._max_raw
             outputs = [y if y <= top else top for y in outputs]
-        return outputs, error
+        return outputs
 
     def _pack(self, values: list):
         """The carried samples, then ``values``, in n1-byte fields, as a
         bytes-like object.  A bad sample raises TypeError, ValueError or
-        OverflowError (the fused check, in the module note)."""
+        OverflowError (the fused check, in the module note), and then no
+        state has changed."""
         code, item = self._code, self._item
         items = bytes(values) if code is None else array(code, values).tobytes()
         for at, allowed in self._limits:

@@ -34,16 +34,19 @@ lists, and the stage occupancy as runs of (valid-bit pattern, tick count),
 bit k of a pattern being stage k.  The pattern changes only while the
 pipeline fills or drains or an idle tick passes through it.  While every
 stage is busy it holds up to the next idle output, so such a run is one
-step, found by an index search; only ticks whose window holds an idle
-output are stepped one by one, a run each.  A gapless block costs about
-latency steps, and a steady stretch is a single run: the change-only idea
-of a value change dump (IEEE Std 1364-2005, clause 18).  The facts of a
-pattern are the stage plan's, made once per pipeline on first use: its
-ops, counted by popcount over one bit mask per distinct stage op triple,
-and its occupancy tuple.  The cycle CSV reads only the columns, in
-place, and the ops: ``csv_rows`` builds an all-busy stretch of runs from
-its tick range a thousand rows at a time, and any other tick gets a row
-of its own.  Per-tick ``CycleReport`` views, for tests and checks only,
+step; only ticks whose window holds an idle output are stepped one by
+one, a run each.  The gap test is the kernel's fused sample check
+(``core`` module note): a block it accepts holds no idle tick, is packed
+once, and its busy run reaches the block's end with no search; in any
+other block an index search finds the next idle output.  A gapless block
+costs about latency steps, and a steady stretch is a single run: the
+change-only idea of a value change dump (IEEE Std 1364-2005, clause 18).
+The facts of a pattern are the stage plan's, made once per pipeline on
+first use: its ops, counted by popcount over one bit mask per distinct
+stage op triple, and its occupancy tuple.  The cycle CSV reads only the
+columns, in place, and the ops: ``csv_rows`` builds an all-busy stretch
+of runs from its tick range a thousand rows at a time, and any other
+tick gets a row of its own.  Per-tick ``CycleReport`` views, for tests and checks only,
 carry four fields, and the views of one pattern share its tuple.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
@@ -282,12 +285,24 @@ class SystolicPipeline:
         Returns the trace of the ticks; its output column holds each tick's
         output, None when it emitted none.  At a bad sample the ticks before
         it are clocked, then the error of ``check_sample`` is raised.
+
+        The kernel's fused check is the gap test, which None fails like a
+        bad sample.  A block it accepts is gapless and valid: its packed
+        stream goes straight to the product, and its busy run needs no
+        search.  Only a block it rejects is scanned for None and zeroed.
         """
         # a list is only read, so it is not copied: a copy adds to the peak memory
         values = samples if isinstance(samples, list) else list(samples)
-        gaps = None in values
-        zeroed = [0 if x is None else x for x in values] if gaps else values
-        outputs, error = self._filter._run_block(zeroed)
+        kernel = self._filter
+        try:
+            packed = kernel._pack(values)
+        except (TypeError, ValueError, OverflowError):
+            gaps = None in values
+            zeroed = [0 if x is None else x for x in values] if gaps else values
+            outputs, error = kernel._run_block(zeroed)
+        else:
+            gaps, error = False, None
+            outputs = kernel._product(packed, len(values))
         # a fresh list: the trace's column must not be the caller's list
         ticks = values[:len(outputs)]
         if gaps:
@@ -298,15 +313,18 @@ class SystolicPipeline:
         # stage k of a tick holds the sample of k ticks before; the first
         # latency - 1 items of the stream are the outputs already in flight
         full, lead = self.plan.full, self.latency - 1
-        valid = 0
+        # the top bit, the tick before the outputs in flight, is only read by
+        # the first tick's test: with every output in flight it joins the run
+        valid = 1
         for y in stream[:lead]:
             valid = valid << 1 | (y is not None)
         runs, i = [], lead
         while i < len(stream):
             if valid == full and stream[i] is not None:
-                # an index search, not a slice test, keeps gappy blocks linear
+                # without idle ticks the busy run reaches the end; with them,
+                # an index search, not a slice test, keeps the block linear
                 try:
-                    j = stream.index(None, i)
+                    j = stream.index(None, i) if gaps else len(stream)
                 except ValueError:
                     j = len(stream)
                 runs.append((full, j - i))

@@ -1,4 +1,4 @@
-"""Time ``GammaWindowFilter.run`` and ``gdswu run`` of two checkouts.
+"""Time the filter kernel, the pipeline models and commands of two checkouts.
 
 Usage::
 
@@ -12,8 +12,13 @@ taken moments apart.  For every config of the grid (sample bits 1, 7, 8,
 weight bits) both filters must give the same outputs on a fixed
 pseudo-random stream of N samples; then each round takes the timeit
 minimum of one filter's ``run`` over that stream on each side,
-alternating which side goes first.  Two more tables do the same for whole
-commands through each side's ``cli.main`` on a CSV of 65,536 samples at
+alternating which side goes first.  A second table does the same for
+``run_pipeline`` on a fresh pipeline of each architecture at 16 and 64
+taps (7-bit samples, default flags otherwise), over N ticks of three
+streams: half of them idle, gapless but for one idle tick at seven eighths
+of the stream, and gapless; both sides must give the same outputs, trace
+columns and stage pattern on every tick.  Two more tables do the same for
+whole commands through each side's ``cli.main`` on a CSV of 65,536 samples at
 every sample width (default flags otherwise): ``gdswu run``, and ``gdswu
 simulate`` for the tree and the chain.  Each command writes its CSV, and
 ``simulate`` its footer, to files, and the two sides' files must be
@@ -39,6 +44,7 @@ import timeit
 SAMPLE_BITS = (1, 7, 8, 9, 12, 16, 20, 64)
 CLI_ROWS = 65536
 TAPS = (4, 16, 64, 256)
+PIPELINE_TAPS = (16, 64)
 MODES = ("normalized-average", "raw-accumulate")
 # each whole command timed: the extra flags of each of its table rows, and
 # the flags that name the files it writes
@@ -81,7 +87,7 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     tmp = tempfile.mkdtemp()
     try:
-        sides, clis = {}, {}
+        sides, clis, pipelines = {}, {}, {}
         for side in ("base", "new"):
             shutil.copytree(os.path.join(getattr(args, side), "src", "gdswu"),
                             os.path.join(tmp, f"gdswu_{side}"))
@@ -89,6 +95,7 @@ def main(argv=None) -> int:
         for side in ("base", "new"):
             sides[side] = importlib.import_module(f"gdswu_{side}.core")
             clis[side] = importlib.import_module(f"gdswu_{side}.cli")
+            pipelines[side] = importlib.import_module(f"gdswu_{side}.systolic")
     finally:
         shutil.rmtree(tmp)
 
@@ -110,6 +117,40 @@ def main(argv=None) -> int:
                           file=sys.stderr)
                     return 1
                 print(f"{bits:>4} {taps:>4} {mode:<18} {paired(runs, args.rounds)}", flush=True)
+
+    rng = random.Random(2)
+    gapless = [rng.getrandbits(7) for _ in range(args.samples)]
+    late = list(gapless)
+    late[args.samples * 7 // 8] = None
+    streams = {
+        "half-idle": [x if rng.getrandbits(1) else None for x in gapless],
+        "late gap": late,
+        "gapless": gapless,
+    }
+    print(f"# run_pipeline, {args.samples} ticks, {args.rounds} rounds; timeit minimums in ms")
+    print(f"{'taps':>4} {'arch':<5} {'stream':<9} {'base':>9} {'new':>9} {'new/base':>8} {'wins':>5}")
+    for taps in PIPELINE_TAPS:
+        for architecture in ("tree", "chain"):
+            for name, stream in streams.items():
+                runs, traces = {}, {}
+                for side, systolic in pipelines.items():
+                    config = sides[side].make_config(a=2, b=5.0, taps=taps)
+
+                    def run(systolic=systolic, config=config):
+                        return systolic.run_pipeline(
+                            systolic.build_pipeline(config, architecture), stream)
+
+                    outputs, trace = run()
+                    # a tick's stage pattern, whatever the runs' split
+                    bits = [b for b, length in trace.runs for _ in range(length)]
+                    traces[side] = (outputs, trace.first_cycle, trace.inputs, trace.outputs, bits)
+                    runs[side] = run
+                if traces["base"] != traces["new"]:
+                    print(f"{taps}/{architecture}/{name}: the traces differ between the checkouts",
+                          file=sys.stderr)
+                    return 1
+                print(f"{taps:>4} {architecture:<5} {name:<9} {paired(runs, args.rounds)}",
+                      flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         inputs = {}
