@@ -79,6 +79,9 @@ from .gamma_weights import GammaParams, WeightVector, build_weight_vector
 MODE_NORMALIZED = "normalized-average"
 MODE_RAW = "raw-accumulate"
 MODES: tuple[str, ...] = (MODE_NORMALIZED, MODE_RAW)
+# what ``_pack`` raises for a bad sample: a non-integer, a negative, too
+# wide a value, or a value above max_raw
+_PACK_ERRORS = (TypeError, ValueError, OverflowError)
 
 
 class FilterConfig(Record):
@@ -226,7 +229,7 @@ class GammaWindowFilter:
         error = None
         try:
             stream = self._pack(values)
-        except (TypeError, ValueError, OverflowError):
+        except _PACK_ERRORS:
             # sample by sample: the valid prefix and the exact error
             values, error = check_samples(values, self._max_raw)
             stream = self._pack(values)
@@ -261,9 +264,9 @@ class GammaWindowFilter:
 
     def _pack(self, values: list):
         """The carried samples, then ``values``, in n1-byte fields, as a
-        bytes-like object.  A bad sample raises TypeError, ValueError or
-        OverflowError (the fused check, in the module note), and then no
-        state has changed."""
+        bytes-like object.  A bad sample raises one of ``_PACK_ERRORS``
+        (the fused check, in the module note), and then no state has
+        changed."""
         code, item = self._code, self._item
         items = bytes(values) if code is None else array(code, values).tobytes()
         for at, allowed in self._limits:

@@ -46,8 +46,9 @@ first use: its ops, counted by popcount over one bit mask per distinct
 stage op triple, and its occupancy tuple.  The cycle CSV reads only the
 columns, in place, and the ops: ``csv_rows`` builds an all-busy stretch
 of runs from its tick range a thousand rows at a time, and any other
-tick gets a row of its own.  Per-tick ``CycleReport`` views, for tests and checks only,
-carry four fields, and the views of one pattern share its tuple.
+tick gets a row of its own.  Per-tick ``CycleReport`` views, for tests
+and checks only, carry four fields, and the views of one pattern share
+its tuple.
 
 Operation-counting convention: each multiplier is one op, each 2-input adder
 is one op, the final divide/shift is one op.  Both architectures therefore
@@ -71,7 +72,7 @@ from __future__ import annotations
 from itertools import chain, count, groupby, islice, repeat
 from typing import Iterator
 
-from .core import FilterConfig, GammaWindowFilter
+from .core import _PACK_ERRORS, FilterConfig, GammaWindowFilter
 from .csv_rows import numbered_rows
 
 ARCHITECTURES: tuple[str, ...] = ("tree", "chain")
@@ -296,7 +297,7 @@ class SystolicPipeline:
         kernel = self._filter
         try:
             packed = kernel._pack(values)
-        except (TypeError, ValueError, OverflowError):
+        except _PACK_ERRORS:
             gaps = None in values
             zeroed = [0 if x is None else x for x in values] if gaps else values
             outputs, error = kernel._run_block(zeroed)

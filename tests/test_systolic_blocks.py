@@ -21,6 +21,7 @@ from gdswu.core import MODE_RAW, GammaWindowFilter, check_sample, make_config
 from gdswu.systolic import ARCHITECTURES, build_pipeline
 from reference_systolic import build_reference
 from strategies import configs
+from test_block_kernel import Index
 from test_systolic import fields, gappy_streams, trace_fields
 
 
@@ -68,7 +69,6 @@ def test_any_split_into_blocks_matches_the_reference_models(data):
     drain = clock_and_compare(model, reference, [None] * model.pending)
     assert not drain or drain[-1] is not None
     assert all(reference.tick(None)[0] is None for _ in range(model.latency))
-
 
 
 # A raw config whose largest sums saturate, so an empty product would reach
@@ -129,22 +129,12 @@ def test_a_gapless_block_ending_in_a_bad_sample_clocks_its_prefix(config, archit
     drain_and_compare(model, reference)
 
 
-class _Index:
-    """A sample that is an int only through ``__index__``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
 @pytest.mark.parametrize("config", GAPLESS_CONFIGS.values(), ids=GAPLESS_CONFIGS)
 def test_a_gapless_block_of_bool_and_index_samples(config, architecture):
     top = config.sample_format.max_raw
     ints = [1, top, 0, 7, top, 1, 0, 7, 3]
-    mixed = [True if x == 1 else False if x == 0 else _Index(x) if x == 7 else x for x in ints]
+    mixed = [True if x == 1 else False if x == 0 else Index(x) if x == 7 else x for x in ints]
     model = build_pipeline(config, architecture)
     reference = build_reference(config, architecture)
     for _ in range(2):
