@@ -304,6 +304,8 @@ class SystolicPipeline:
         else:
             gaps, error = False, None
             outputs = kernel._product(packed, len(values))
+            # not held while the trace is built: it would raise the peak
+            del packed
         # a fresh list: the trace's column must not be the caller's list
         ticks = values[:len(outputs)]
         if gaps:
