@@ -24,23 +24,28 @@ Where n1 is W a widen would copy nothing, so m is folded into the packed
 weights instead, and a product field holds A * m.
 
 The sample check is fused with the pack.  Samples of at most 8 bits pack
-with ``bytes``, wider ones with an ``array`` of 4- or 8-byte items; both
-work in C and raise TypeError for a non-integer and ValueError or
-OverflowError for a negative or too wide a value.  As ``max_raw`` is
-``2**k - 1``, a sample is at most max_raw exactly when each of its bytes
-is at most max_raw's byte there, so one ``translate`` per item byte below
-255 in max_raw, deleting the allowed values, tests every upper bound at
-once: a byte left over is a sample out of range.  The bytes below bit k
-are then spread into the product's fields by strided slice assignments.
-On any failure the block is checked again sample by sample
-(``check_samples``), which finds the valid prefix and the exact error, and
-only that prefix is filtered.
+with ``bytes(bytearray(values))``: ``bytearray`` reads a list faster
+than ``bytes`` does (1.3 to 2.8 times on CPython 3.10 to 3.13), and the
+range test below runs on the ``bytes`` copy, whose deleting
+``translate`` is the faster of the two.  Wider samples pack with an
+``array`` of 4- or 8-byte items.  Both work in C and raise TypeError for
+a non-integer and ValueError or OverflowError for a negative or too wide
+a value.  As ``max_raw`` is ``2**k - 1``, a sample is at most max_raw
+exactly when each of its bytes is at most max_raw's byte there, so one
+``translate`` per item byte below 255 in max_raw, deleting the allowed
+values, tests every upper bound at once: a byte left over is a sample
+out of range.  The bytes below bit k are then spread into the product's
+fields by strided slice assignments.  On any failure the block is
+checked again sample by sample (``check_samples``), which finds the
+valid prefix and the exact error, and only that prefix is filtered.
 
 The kernel, ``_run_block``, is that check and then the product.  The
 check, ``_pack``, changes no state, and a block it accepts is valid
 whole; ``_product`` filters the packed block and carries its last samples
-on.  The pipeline models call the two apart, so that the check is also
-their test for an idle tick (``systolic`` module note).
+on; ``_run_prefix`` is the sample by sample path after a failed check.
+The pipeline models call the parts apart, so that the check is also
+their test for an idle tick (``systolic`` module note), and a block it
+rejects that holds no idle tick is not packed a second time.
 
 The shift s is a whole number of bytes and A * m < 2**(8W), so an output
 is exactly the bytes of its W-byte field from byte s // 8 up.  Byte j of a
@@ -223,17 +228,21 @@ class GammaWindowFilter:
         packed product, and ``check_sample``'s error for the sample after
         it (None when all are valid).  The one kernel, the check
         (``_pack``) then the product (``_product``): ``run`` calls it, the
-        fault sweep calls ``run``, and the pipeline models call it or, on a
-        block the check accepts, its two parts."""
+        fault sweep calls ``run``, and the pipeline models call it or,
+        after their own first check, its parts."""
         values = samples if isinstance(samples, list) else list(samples)
-        error = None
         try:
             stream = self._pack(values)
         except _PACK_ERRORS:
-            # sample by sample: the valid prefix and the exact error
-            values, error = check_samples(values, self._max_raw)
-            stream = self._pack(values)
-        return self._product(stream, len(values)), error
+            return self._run_prefix(values)
+        return self._product(stream, len(values)), None
+
+    def _run_prefix(self, values: list) -> tuple[list[int], Exception | None]:
+        """``_run_block`` of a block that ``_pack`` rejected: the valid
+        prefix and the exact error, found sample by sample, and the
+        outputs of that prefix."""
+        values, error = check_samples(values, self._max_raw)
+        return self._product(self._pack(values), len(values)), error
 
     def _product(self, stream: bytearray, count: int) -> list[int]:
         """The outputs of the ``count`` samples that ``_pack`` packed into
@@ -268,7 +277,7 @@ class GammaWindowFilter:
         (the fused check, in the module note), and then no state has
         changed."""
         code, item = self._code, self._item
-        items = bytes(values) if code is None else array(code, values).tobytes()
+        items = bytes(bytearray(values)) if code is None else array(code, values).tobytes()
         for at, allowed in self._limits:
             if items[at::item].translate(None, allowed):
                 raise ValueError("a sample above max_raw")

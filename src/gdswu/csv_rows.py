@@ -8,10 +8,11 @@ rows is one string.
 Each block repeats one template row: the prefix, three pad bytes for the
 last digits of the row number, ``,``, the value slots and ``end``; the
 row numbers' digits are filled a whole column at a time from fixed digit
-columns.  Where ``bytes()`` takes both of a block's value slices, every
+columns.  Where ``bytearray()`` takes both of a block's value slices (it
+reads a list faster than ``bytes()`` and refuses the same values), every
 value is in ``0..255`` and has at most three digits, so each value slot
 is three pads, filled with the values' hundreds, tens and units by one
-``bytes.translate`` each, a leading zero mapping to the pad.  This is SIMD
+``translate`` each, a leading zero mapping to the pad.  This is SIMD
 within a register (Fisher and Dietz, LCPC 1998): one C loop applies one
 table to every byte of a column, as one word-wide operation acts on every
 lane.  In any other block (a wider value, a negative, an output edited
@@ -53,7 +54,7 @@ def numbered_rows(first: int, xs: Sequence[int], ys: Sequence[int], lo: int, hi:
         m = min(1000 - k, hi - lo)
         x, y = xs[lo:lo + m], ys[lo:lo + m]
         try:
-            x, y, fields = bytes(x), bytes(y), None
+            x, y, fields = bytearray(x), bytearray(y), None
         except (TypeError, ValueError):
             fields = [0] * (2 * m)
             fields[::2], fields[1::2] = x, y

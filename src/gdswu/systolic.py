@@ -290,7 +290,9 @@ class SystolicPipeline:
         The kernel's fused check is the gap test, which None fails like a
         bad sample.  A block it accepts is gapless and valid: its packed
         stream goes straight to the product, and its busy run needs no
-        search.  Only a block it rejects is scanned for None and zeroed.
+        search.  Only a block it rejects is scanned for None.  With no
+        None it holds a bad sample, so it goes straight to the sample by
+        sample check; with one it is zeroed and run through the kernel.
         """
         # a list is only read, so it is not copied: a copy adds to the peak memory
         values = samples if isinstance(samples, list) else list(samples)
@@ -299,8 +301,11 @@ class SystolicPipeline:
             packed = kernel._pack(values)
         except _PACK_ERRORS:
             gaps = None in values
-            zeroed = [0 if x is None else x for x in values] if gaps else values
-            outputs, error = kernel._run_block(zeroed)
+            if gaps:
+                outputs, error = kernel._run_block([0 if x is None else x for x in values])
+            else:
+                # no idle tick, so a bad sample: the block is not packed again
+                outputs, error = kernel._run_prefix(values)
         else:
             gaps, error = False, None
             outputs = kernel._product(packed, len(values))

@@ -259,9 +259,12 @@ class Index:
 
 # samples packed as bytes into 2-byte product fields (widened to 4 bytes in
 # normalized mode; in raw mode n1 == W and m folds into the weights), and as
-# array items of 4 bytes into 3-byte fields and of 8 bytes into 10-byte ones
+# array items of 4 bytes into 3-byte fields and of 8 bytes into 10-byte ones;
+# at 8 bits no item byte is below 255 in max_raw, so no ``translate`` test
+# runs and ``bytearray`` alone refuses a sample out of range
 CHECK_CONFIGS = {
     "normalized": make_config(taps=4),
+    "8-bit": make_config(taps=4, sample_int_bits=8),
     "raw": make_config(taps=4, mode=MODE_RAW),
     "12-bit": make_config(taps=4, sample_int_bits=12),
     "64-bit": make_config(taps=4, frac_bits=14, sample_int_bits=64),
@@ -269,12 +272,12 @@ CHECK_CONFIGS = {
 
 
 def bad_samples(config):
-    """Samples ``check_sample`` rejects.  256 is the first value ``bytes``
-    refuses.  The packers take an int above max_raw that fits an item, by
-    ``__index__`` too, which a ``translate`` test must then reject; and, for
-    4-byte items in 3-byte fields, 2**(8 * 3) and one more, whose low bytes
-    are in range and whose high byte the fields drop; and the largest value
-    of a W-byte scaled field."""
+    """Samples ``check_sample`` rejects.  256 is the first value
+    ``bytearray`` refuses.  The packers take an int above max_raw that fits
+    an item, by ``__index__`` too, which a ``translate`` test must then
+    reject; and, for 4-byte items in 3-byte fields, 2**(8 * 3) and one
+    more, whose low bytes are in range and whose high byte the fields drop;
+    and the largest value of a W-byte scaled field."""
     top = config.sample_format.max_raw
     _, _, sums, width = _layout(config)
     dropped = 1 << 8 * sums
@@ -342,6 +345,11 @@ def test_sweep_keeps_the_message_of_check_sample(name):
         stream[30] = bad
         message = f"sample 30: {error}" if type(error) is ValueError else str(error)
         raises_as(type(error), message, lambda: sweep(specs, config, [stream]))
+
+
+def test_at_8_bits_the_byte_constructor_is_the_only_range_check():
+    filt = GammaWindowFilter(CHECK_CONFIGS["8-bit"])
+    assert (filt._code, filt._limits) == (None, [])
 
 
 @pytest.mark.parametrize("name", CHECK_CONFIGS)

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdswu.cli
-from gdswu import systolic
+from gdswu import csv_rows, systolic
 from gdswu.core import GammaWindowFilter, make_config
 from gdswu.csv_rows import numbered_rows
 from gdswu.systolic import ARCHITECTURES, OPS, CycleTrace, build_pipeline, run_pipeline
@@ -115,6 +115,67 @@ class _Index:
 
     def __index__(self):
         return self.value
+
+
+# The byte path's digit tables with letters for digits, so that a value
+# the byte path wrote reads as letters and one the %d template wrote as
+# digits.  The row numbers' digits come from other columns and stay digits.
+_LETTERED = tuple(table.translate(bytes.maketrans(b"0123456789", b"abcdefghij"))
+                  for table in csv_rows._TABLES)
+_LETTERS = str.maketrans("0123456789", "abcdefghij")
+
+
+def _rows(first, xs, ys, by_bytes):
+    """Rows formatted one at a time from the values' texts, a value's
+    digits as letters in the blocks ``by_bytes`` names."""
+    rows = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        values = f"{x},{y}"
+        if by_bytes((first + i) // 1000):
+            values = values.translate(_LETTERS)
+        rows.append(f"{first + i},{values}\n")
+    return "".join(rows)
+
+
+# A value, its text, and whether the byte path takes its block: a bool and
+# an int through __index__ fit a byte; a value past a byte either way, or a
+# non-integer, sends its block, and only its block, through the %d template.
+ODD_VALUES = [
+    (True, "1", True), (_Index(7), "7", True), (256, "256", False), (-1, "-1", False),
+    (1.5, "1", False), (_Index(300), "300", False),
+]
+
+
+@pytest.mark.parametrize("kind", [list, tuple, gdswu.cli._Held], ids=["list", "tuple", "held"])
+@pytest.mark.parametrize("value, text, fits", ODD_VALUES,
+                         ids=["bool", "index", "256", "-1", "1.5", "index-256"])
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_only_the_block_the_byte_constructor_refuses_takes_the_percent_d_template(
+    monkeypatch, kind, value, text, fits, column
+):
+    monkeypatch.setattr(csv_rows, "_TABLES", _LETTERED)
+    # blocks 0 to 3 of the row numbers: rows 0-99, 100-1099, 1100-2099 and
+    # 2100-2299; the odd value sits in block 2
+    first, rows, at = 900, 2300, 1500
+    xs = [(7 * i) % 256 for i in range(rows)]
+    ys = [(i * i) % 256 for i in range(rows)]
+    texts = {"x": list(map(str, xs)), "y": list(map(str, ys))}
+    (xs if column == "x" else ys)[at] = value
+    texts[column][at] = text
+    got = "".join(numbered_rows(first, kind(xs), kind(ys), 0, rows))
+    assert got == _rows(first, texts["x"], texts["y"], lambda block: fits or block != 2)
+
+
+@pytest.mark.parametrize("start, by_bytes", [(0, {0, 1}), (150, {0}), (200, set())],
+                         ids=["bytes", "bytes then %d", "%d"])
+def test_a_range_column_takes_the_byte_path_where_its_values_fit_a_byte(
+    monkeypatch, start, by_bytes
+):
+    # rows 0-99 are block 0 and rows 100-249 block 1
+    monkeypatch.setattr(csv_rows, "_TABLES", _LETTERED)
+    xs, ys = range(start, start + 250), range(5, 255)
+    got = "".join(numbered_rows(900, xs, ys, 0, 250))
+    assert got == _rows(900, list(map(str, xs)), list(map(str, ys)), by_bytes.__contains__)
 
 
 @pytest.mark.parametrize("length", [12, 2100], ids=["%d", "table"])

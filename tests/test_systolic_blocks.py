@@ -7,7 +7,8 @@ rejected sample after an idle tick included, must give the reports of the
 tick-by-tick models in ``reference_systolic``, and the drain must stop on
 the tick that emits the last output.  So must the edges of a gapless
 block, which the kernel's check passes straight to its product: an empty
-block, a bad last sample, and bool and ``__index__`` samples.
+block, a bad sample first, mid-block or last, with the block packed once
+before its valid prefix, and bool and ``__index__`` samples.
 """
 
 from operator import index
@@ -108,10 +109,25 @@ def test_a_block_whose_only_idle_tick_is_its_last(config, architecture):
     drain_and_compare(model, reference)
 
 
+def counting_packs():
+    """A patch of the kernel's ``_pack`` that notes each block's length."""
+    packs = []
+    pack = GammaWindowFilter._pack
+
+    def counting(kernel, values):
+        packs.append(len(values))
+        return pack(kernel, values)
+
+    return packs, mock.patch.object(GammaWindowFilter, "_pack", counting)
+
+
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
 @pytest.mark.parametrize("config", GAPLESS_CONFIGS.values(), ids=GAPLESS_CONFIGS)
 @pytest.mark.parametrize("bad", ["above", "3"])
-def test_a_gapless_block_ending_in_a_bad_sample_clocks_its_prefix(config, architecture, bad):
+@pytest.mark.parametrize("at", [0, 4, 7], ids=["first", "mid", "last"])
+def test_a_gapless_block_with_a_bad_sample_clocks_its_prefix_packed_once(
+    config, architecture, bad, at
+):
     top = config.sample_format.max_raw
     bad = top + 1 if bad == "above" else bad
     with pytest.raises((TypeError, ValueError)) as want:
@@ -119,11 +135,14 @@ def test_a_gapless_block_ending_in_a_bad_sample_clocks_its_prefix(config, archit
     model = build_pipeline(config, architecture)
     reference = build_reference(config, architecture)
     clock_and_compare(model, reference, [top, 1])
-    prefix = [3, top, 0, 64, 5, top, top]
-    with pytest.raises(want.type) as got:
-        model.clock(prefix + [bad])
+    block = [3, top, 0, 64, 5, top, top]
+    packs, counting = counting_packs()
+    with counting, pytest.raises(want.type) as got:
+        model.clock(block[:at] + [bad] + block[at:])
     assert str(got.value) == str(want.value)
-    for sample in prefix:
+    # the fused check fails once on the whole block, then the valid prefix is packed
+    assert packs == [len(block) + 1, at]
+    for sample in block[:at]:
         reference.tick(sample)
     clock_and_compare(model, reference, [top, 2, 0, 7])
     drain_and_compare(model, reference)
@@ -156,14 +175,8 @@ def test_a_gapless_block_after_the_fill_is_one_busy_run(taps, architecture):
     config = make_config(taps=taps)
     model = build_pipeline(config, architecture)
     full, latency = model.plan.full, model.latency
-    packs = []
-    pack = GammaWindowFilter._pack
-
-    def counting(kernel, values):
-        packs.append(len(values))
-        return pack(kernel, values)
-
-    with mock.patch.object(GammaWindowFilter, "_pack", counting):
+    packs, counting = counting_packs()
+    with counting:
         fill = model.clock([127] * (latency + 5))
         busy = model.clock(list(range(40)))
     assert fill.runs == [((2 << k) - 1, 1) for k in range(latency)] + [(full, 5)]
