@@ -25,7 +25,7 @@ weights instead, and a product field holds A * m.
 
 The sample check is fused with the pack.  Samples of at most 8 bits pack
 with ``bytes(bytearray(values))``: ``bytearray`` reads a list faster
-than ``bytes`` does (1.3 to 2.8 times on CPython 3.10 to 3.13), and the
+than ``bytes`` does (1.3 to 3.4 times on CPython 3.10 to 3.13), and the
 range test below runs on the ``bytes`` copy, whose deleting
 ``translate`` is the faster of the two.  Wider samples pack with an
 ``array`` of 4- or 8-byte items.  Both work in C and raise TypeError for

@@ -2,9 +2,10 @@
 
 The tool's summary of a ``BENCH_<n>.json`` is recomputed from the file's
 runs alone, so it must give back the medians, the pairs won and the claim
-verdict that the file records.  ``BENCH_23.json`` took its quartiles by
-another method, so only the later files' quartiles are compared.  No
-benchmark runs here.
+verdict that the file records: the hand-run ``BENCH_23.json`` to
+``BENCH_25.json``, and ``BENCH_26.json``, the tool's own output.
+``BENCH_23.json`` took its quartiles by another method, so only the later
+files' quartiles are compared.  No benchmark runs here.
 """
 
 import json
@@ -25,7 +26,7 @@ def summarize(name):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("number", [23, 24, 25])
+@pytest.mark.parametrize("number", [23, 24, 25, 26])
 def test_the_summary_recomputes_the_recorded_medians(number):
     name = f"BENCH_{number}.json"
     with open(os.path.join(ROOT, name), encoding="utf-8") as fh:

@@ -172,8 +172,8 @@ def notes(summary: dict, better: dict[str, str], bounds: dict[str, float],
                 f"(ratio {stats['median_ratio']:.4f}, change better in "
                 f"{stats['change_wins']} of {stats['pairs']})"
             )
-            loss = stats["median_ratio"] - 1 if better[metric] == "lower" else \
-                1 - stats["median_ratio"]
+            ratio = stats["median_ratio"]
+            loss = ratio - 1 if better[metric] == "lower" else 1 - ratio
             if loss > bounds[metric]:
                 worse.append(f"{workload} {metric} ({loss:+.1%} against a bound of "
                              f"{bounds[metric]:.0%})")
@@ -212,6 +212,10 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     claim = _parse_claim(args.claim)
+    names = [w["name"] for w in bench["workloads"]]
+    if claim is not None and (claim[0] not in names or claim[1] not in better):
+        parser.error(f"--claim names no workload and end-to-end metric of BENCHMARK.json: "
+                     f"{args.claim}")
 
     if args.summarize:
         with open(args.summarize, encoding="utf-8") as fh:
@@ -230,7 +234,6 @@ def main(argv=None) -> int:
     revisions = {side: _git("rev-parse", "--short", rev).decode().strip()
                  for side, rev in zip(SIDES, (args.base, args.change))}
     seconds = bench["run_seconds"]
-    names = [w["name"] for w in bench["workloads"]]
     if claim is not None:
         names = [claim[0]] + [name for name in names if name != claim[0]]
     runs = []
