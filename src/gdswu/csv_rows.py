@@ -17,13 +17,15 @@ within a register (Fisher and Dietz, LCPC 1998): one C loop applies one
 table to every byte of a column, as one word-wide operation acts on every
 lane.  In any other block (a wider value, a negative, an output edited
 out of range) the slots are ``%d,%d``, formatted with one ``%`` over the
-block's values.  Either way one ``translate`` first deletes every pad.
+block's values, each taken through ``operator.index`` first, so that a
+non-integer raises TypeError rather than printing truncated.  Either way one ``translate`` first deletes every pad.
 The choice is made per block, from its values alone.  The run, step and
 cycle CSVs all write their numbered rows this way.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator, Sequence
 
 _PAD = b"\0"
@@ -57,7 +59,7 @@ def numbered_rows(first: int, xs: Sequence[int], ys: Sequence[int], lo: int, hi:
             x, y, fields = bytearray(x), bytearray(y), None
         except (TypeError, ValueError):
             fields = [0] * (2 * m)
-            fields[::2], fields[1::2] = x, y
+            fields[::2], fields[1::2] = map(index, x), map(index, y)
         prefix = b"%d" % p if p else b""
         row = prefix + (b"\0\0\0,\0\0\0,\0\0\0" if fields is None else b"\0\0\0,%d,%d") + tail
         size, at = len(row), len(prefix)

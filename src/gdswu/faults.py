@@ -14,24 +14,47 @@ interaction of the two floor divisions on the clean and faulty paths.  The
 largest weights are taken from the actual vector, not assumed to sit at
 lag 0.
 
-The stream is filtered once, whole, by a fresh filter.  That clean run
-checks the stream's samples and is the clean twin of every spec.
-Each spec then needs only the span of its faulty stream that the fault
-can reach.  An output depends on the last ``taps`` samples alone (finite
+The stream is checked once, at the first spec, by the kernel's fused
+check (``_pack``), which changes no state.  A stream it refuses is run by
+the filter, which then raises the error of its first bad sample (the
+``core`` module note), as a run over the whole stream would.  After that
+check, one run of one fresh filter takes every spec's faulty span, then
+the clean spans.
+
+Each spec needs only the span of its faulty stream that the fault can
+reach.  An output depends on the last ``taps`` samples alone (finite
 support), so the clean and faulty outputs can differ only at indices
 ``start .. end + taps - 2``, and each of those depends on samples from
 ``start - taps + 1`` on.  A spec's segment is therefore the faulty stream
 over ``[start - taps + 1, hi)``, ``hi = min(n, end + taps - 1)``, with a zero
 pad standing in for each index before the stream's start, as a fresh
-filter's zeroed window does.  The segments of all specs are joined, in
-spec order, and filtered by one fresh filter in one run.  The last
-``hi - start`` outputs of a segment see only that segment's samples: the
-``taps - 1`` before them lead every segment.  So each equals the
-full-stream faulty output, and it is compared with ``clean_out[start:hi]``.
-Every check runs before the joined run, in spec order, and errors name
-stream indices: a window that overruns the stream first, then a bad
-sample (at the first spec, by the clean run), then an out-of-range level,
-at the fault's start.
+filter's zeroed window does.  The last ``hi - start`` outputs of a segment
+see only that segment's samples: the ``taps - 1`` before them lead every
+segment.  So each equals the full-stream faulty output.
+
+The reports read the clean outputs ``[start, hi)`` of each spec, and no
+other.  The clean spans are the union of those ranges, sorted, with two
+merged where the gap between them is at most ``taps - 1`` samples, each
+led by its own ``taps - 1`` samples (zeros before index 0), so that its
+outputs too equal the full-stream ones.  Merging across a gap of g
+samples filters those g where a separate lead would filter ``taps - 1``.
+A lead that stays separate skips a gap of at least ``taps`` samples, so
+it lies inside that gap, after the span before it.  The spans and the
+leads after the first are thus disjoint ranges of the stream, and the
+clean part is at most ``n + taps - 1`` samples: as many as the fields
+that a whole-stream run packs, zeroed window included.
+
+The faulty segments go first, in spec order, and the clean spans last,
+in increasing order.  The run's last output is then the clean output at
+the largest ``hi - 1``, the last one that the spec with that ``hi``
+compares.  Where the two outputs agree there, an edit of that last
+output moves the spec's recovery index, which the benchmark's check of
+its own correctness gate relies on.
+
+Every check runs before the run, in spec order, and errors name stream
+indices: a window that overruns the stream first, then a bad sample (at
+the first spec, by the stream check), then an out-of-range level, at the
+fault's start.
 """
 
 from __future__ import annotations
@@ -40,7 +63,7 @@ import operator
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .core import FilterConfig, GammaWindowFilter, MODE_NORMALIZED, check_sample
+from .core import _PACK_ERRORS, FilterConfig, GammaWindowFilter, MODE_NORMALIZED, check_sample
 from .fixed_point import Record
 
 FAULT_KINDS: tuple[str, ...] = ("spike", "stuck", "dropout")
@@ -105,61 +128,86 @@ def sweep(
     """Per-spec attenuation reports over one stream, plus aggregate
     deviation statistics.
 
-    ``streams`` holds exactly one stream.  It is read once and filtered
-    clean once, after the first spec's window check, which checks its
-    samples; the faulty segments of all specs, each the span its fault can
-    reach, then take one more run (see the module note).  A report holds
-    the spec's fields under ``"spec"``, then ``max_output_deviation``,
-    ``analytic_bound``, ``recovery_index`` and ``bound_satisfied``, and
-    equals the one over the whole stream.  recovery_index is the first
-    index at or after the fault end from which the two output streams
-    agree for good; a window purge guarantees it is at most
-    ``spec.end + taps - 1``.
+    ``streams`` holds exactly one stream.  It is read once and checked
+    once, after the first spec's window check; then one run of one filter
+    takes each spec's faulty span and the clean spans the reports read
+    (see the module note).  A report holds the spec's fields under
+    ``"spec"``, then ``max_output_deviation``, ``analytic_bound``,
+    ``recovery_index`` and ``bound_satisfied``, and equals the one over
+    the whole stream.  recovery_index is the first index at or after the
+    fault end from which the two output streams agree for good; a window
+    purge guarantees it is at most ``spec.end + taps - 1``.
     """
     if len(streams) != 1:
         raise ValueError(f"need exactly 1 stream, got {len(streams)}")
     clean = list(streams[0])
-    taps = config.taps
-    spans, joined = [], []
+    n, lead = len(clean), config.taps - 1
+    max_raw = config.sample_format.max_raw
+    filt = GammaWindowFilter(config)
+    spans, reach, joined = [], [], []
     for spec in specs:
-        _check_window(spec, len(clean))
+        start, end = spec.start, spec.end
+        _check_window(spec, n)
         if not spans:
-            clean_out = GammaWindowFilter(config).run(clean)
+            try:
+                filt._pack(clean)
+            except _PACK_ERRORS:
+                filt.run(clean)  # raises the error of the first bad sample
         try:
-            level = check_sample(spec.replacement_value, config.sample_format.max_raw)
+            level = check_sample(spec.replacement_value, max_raw)
         except ValueError as exc:
-            raise ValueError(f"sample {spec.start}: {exc}") from exc
+            raise ValueError(f"sample {start}: {exc}") from exc
         # the taps - 1 samples before the fault, zeros before the stream's
         # start, then the faulty stream up to hi
-        lo = spec.start - taps + 1
-        hi = min(len(clean), spec.end + taps - 1)
-        joined += [0] * -lo + clean[max(0, lo):spec.start]
-        spans.append((spec, level, hi, len(joined)))
-        joined += [level] * spec.duration + clean[spec.end:hi]
-    joined_out = GammaWindowFilter(config).run(joined) if spans else []
+        lo, hi = start - lead, min(n, end + lead)
+        joined += clean[lo:start] if lo >= 0 else [0] * -lo + clean[:start]
+        spans.append((spec, start, end, level, hi, len(joined)))
+        reach.append((start, hi))
+        joined += [level] * (end - start)
+        joined += clean[end:hi]
+
+    # the clean spans: the union of the specs' [start, hi), merged across
+    # gaps of at most taps - 1, each led by its taps - 1 samples
+    bounds = []
+    for start, hi in sorted(reach):
+        if bounds and start - bounds[-1] <= lead:
+            if hi > bounds[-1]:
+                bounds[-1] = hi
+        else:
+            bounds += start, hi
+    merged = list(zip(bounds[::2], bounds[1::2]))
+    at = len(joined)
+    for start, hi in merged:
+        lo = start - lead
+        joined += clean[lo:hi] if lo >= 0 else [0] * -lo + clean[:hi]
+    out = filt.run(joined) if spans else []
+    clean_out = [0] * n
+    for start, hi in merged:
+        at += lead
+        clean_out[start:hi] = out[at : at + hi - start]
+        at += hi - start
 
     # the analytic bound of each spec (see the module note): tops[k - 1] is
     # the sum of the k largest raw weights
     weights = config.weights
     tops = list(accumulate(sorted(weights.raw, reverse=True)))
     divisor = weights.raw_sum if config.mode == MODE_NORMALIZED else 1 << weights.qformat.frac_bits
+    sub, index = operator.sub, operator.index
     reports = []
-    for spec, level, hi, at in spans:
-        faulty_out = joined_out[at : at + hi - spec.start]
-        deviations = list(map(abs, map(operator.sub, faulty_out, clean_out[spec.start : hi])))
+    for spec, start, end, level, hi, at in spans:
+        deviations = list(map(abs, map(sub, out[at : at + hi - start], clean_out[start:hi])))
         max_deviation = max(deviations)
-        delta_max = max(abs(level - operator.index(x)) for x in clean[spec.start : spec.end])
-        bound = -(-tops[min(spec.duration, taps) - 1] * delta_max // divisor) + 1
-        # the outputs agree for good after the last deviation
-        changed = len(deviations)
-        while changed and not deviations[changed - 1]:
-            changed -= 1
-
+        delta_max = max(abs(level - index(x)) for x in clean[start:end])
+        bound = -(-tops[min(end - start, lead + 1) - 1] * delta_max // divisor) + 1
+        # the outputs agree for good after the last deviation: the last
+        # non-zero byte, a wider deviation counting as 1
+        flags = deviations if max_deviation < 256 else map(bool, deviations)
+        changed = len(bytes(flags).rstrip(b"\0"))
         reports.append({
-            "spec": dict(vars(spec)),
+            "spec": vars(spec).copy(),
             "max_output_deviation": max_deviation,
             "analytic_bound": bound,
-            "recovery_index": max(spec.end, spec.start + changed),
+            "recovery_index": max(end, start + changed),
             "bound_satisfied": max_deviation <= bound,
         })
 

@@ -70,6 +70,7 @@ every idle tick before it.
 from __future__ import annotations
 
 from itertools import chain, count, groupby, islice, repeat
+from operator import index
 from typing import Iterator
 
 from .core import _PACK_ERRORS, FilterConfig, GammaWindowFilter
@@ -229,13 +230,14 @@ CYCLE_CSV_HEADER = ("cycle", "input", "output", "mult_ops", "add_ops", "other_op
 def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
     """The cycle-CSV rows of ``trace``, each ending in ``\\n``, a block at a time.
 
-    Inputs and outputs print as ``%d`` prints them; idle ones are empty
-    fields.  A stretch of runs with every stage busy consumed and emitted
-    on each of its ticks, so ``numbered_rows`` builds it from the columns
-    in place, a thousand rows at a time: as bytes where a block's values
-    fit a byte, else with ``%d``, say for an output edited past the sample
-    format.  Any other stretch gets one row per tick, up to a thousand
-    rows per block, its values formatted with ``%d``.
+    Inputs and outputs print as ``%d`` prints their ``operator.index``,
+    so a non-integer raises TypeError; idle ones are empty fields.  A
+    stretch of runs with every stage busy consumed and emitted on each of
+    its ticks, so ``numbered_rows`` builds it from the columns in place, a
+    thousand rows at a time: as bytes where a block's values fit a byte,
+    else with ``%d``, say for an output edited past the sample format.
+    Any other stretch gets one row per tick, up to a thousand rows per
+    block, its values formatted with ``%d``.
     """
     plan, inputs, outputs = trace.plan, trace.inputs, trace.outputs
     full = plan.full
@@ -256,7 +258,7 @@ def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
             for lo in range(tick, stop, 1000):
                 hi = min(lo + 1000, stop)
                 yield "".join([
-                    f"{c},{'' if x is None else '%d' % x},{'' if y is None else '%d' % y}{end}"
+                    f"{c},{'' if x is None else '%d' % index(x)},{'' if y is None else '%d' % index(y)}{end}"
                     for c, x, y, end in zip(count(trace.first_cycle + lo), inputs[lo:hi],
                                             outputs[lo:hi], islice(ends, hi - lo))
                 ])

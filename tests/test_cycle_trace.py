@@ -138,11 +138,12 @@ def _rows(first, xs, ys, by_bytes):
 
 
 # A value, its text, and whether the byte path takes its block: a bool and
-# an int through __index__ fit a byte; a value past a byte either way, or a
-# non-integer, sends its block, and only its block, through the %d template.
+# an int through __index__ fit a byte; a value past a byte either way sends
+# its block, and only its block, through the %d template.  A non-integer
+# goes there too and raises TypeError (text None), as operator.index does.
 ODD_VALUES = [
     (True, "1", True), (_Index(7), "7", True), (256, "256", False), (-1, "-1", False),
-    (1.5, "1", False), (_Index(300), "300", False),
+    (1.5, None, False), (_Index(300), "300", False),
 ]
 
 
@@ -161,9 +162,32 @@ def test_only_the_block_the_byte_constructor_refuses_takes_the_percent_d_templat
     ys = [(i * i) % 256 for i in range(rows)]
     texts = {"x": list(map(str, xs)), "y": list(map(str, ys))}
     (xs if column == "x" else ys)[at] = value
+    if text is None:
+        _raises_index_error(lambda: "".join(numbered_rows(first, kind(xs), kind(ys), 0, rows)))
+        return
     texts[column][at] = text
     got = "".join(numbered_rows(first, kind(xs), kind(ys), 0, rows))
     assert got == _rows(first, texts["x"], texts["y"], lambda block: fits or block != 2)
+
+
+def _raises_index_error(call):
+    with pytest.raises(TypeError) as caught:
+        call()
+    assert str(caught.value) == "'float' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("busy", [True, False], ids=["busy", "gappy"])
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_a_non_integer_output_raises_type_error_on_a_busy_or_a_gappy_row(architecture, busy):
+    # an output edited to 1.5 on a busy tick reaches the %d template, on a
+    # tick after an idle one the per-tick row; neither prints it truncated
+    stream = [(7 * i) % 128 for i in range(40)]
+    stream[20] = None
+    _, trace = run_pipeline(build_pipeline(make_config(taps=4), architecture), stream)
+    views = [view for view in trace
+             if view.emitted_output is not None and all(view.stage_occupancy) == busy]
+    views[-1].emitted_output = 1.5
+    _raises_index_error(lambda: cycle_csv_lines(trace))
 
 
 @pytest.mark.parametrize("start, by_bytes", [(0, {0, 1}), (150, {0}), (200, set())],

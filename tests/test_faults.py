@@ -276,37 +276,148 @@ def test_a_sweep_takes_exactly_one_stream(count):
 SWEEP_SPECS = [FaultSpec(FAULT_KINDS[i % 3], 20 * i, 1 + i % 4, 9 * i) for i in range(12)]
 
 
-def _sweep_counting_runs(specs, stream):
-    """The sweep, the length of the block each filter run was given, and
-    the number of kernel calls.
+def _sweep_counting_runs(specs, stream, config):
+    """The sweep, the length of each block the fused check was given, the
+    outputs of each filter run, and the number of kernel calls."""
+    checks, runs, kernel_calls = [], [], []
+    real_pack, real_run = GammaWindowFilter._pack, GammaWindowFilter.run
+    real_kernel = GammaWindowFilter._run_block
 
-    A stream's samples are checked by the run over the whole stream (300
-    samples); one more run takes every spec's faulty span, each led by the
-    7 samples before the fault and followed by at most 7 after it.
-    """
-    lengths, kernel_calls = [], []
-    real_run, real_kernel = GammaWindowFilter.run, GammaWindowFilter._run_block
+    def counting_pack(self, values):
+        checks.append(len(values))
+        return real_pack(self, values)
 
-    def counting(self, samples):
-        samples = list(samples)
-        lengths.append(len(samples))
-        return real_run(self, samples)
+    def counting_run(self, samples):
+        runs.append(real_run(self, samples))
+        return runs[-1]
 
     def counting_kernel(self, samples):
         kernel_calls.append(None)
         return real_kernel(self, samples)
 
-    with (mock.patch.object(GammaWindowFilter, "run", counting),
+    with (mock.patch.object(GammaWindowFilter, "_pack", counting_pack),
+          mock.patch.object(GammaWindowFilter, "run", counting_run),
           mock.patch.object(GammaWindowFilter, "_run_block", counting_kernel)):
-        result = sweep(specs, make_config(taps=8), [stream])
-    return lengths, len(kernel_calls), result
+        result = sweep(specs, config, [stream])
+    return checks, runs, len(kernel_calls), result
 
 
 def test_a_sweep_checks_one_shared_stream_once():
-    lengths, kernel_calls, result = _sweep_counting_runs(SWEEP_SPECS, _stream_with(0, 0))
-    assert result["aggregate"]["count"] == 12
+    # The fused check takes the 300-sample stream once; then one run takes
+    # every spec's faulty span, led by the 7 samples before the fault and
+    # followed by at most 7 after it, and then the clean spans.  The specs'
+    # reaches lie more than 7 apart, so each clean span is one spec's own
+    # [start, hi), led by its own 7 samples, as long as its faulty span.
+    config, stream = make_config(taps=8), _stream_with(0, 0)
+    checks, runs, kernel_calls, result = _sweep_counting_runs(SWEEP_SPECS, stream, config)
     spans = sum(7 + spec.duration + 7 for spec in SWEEP_SPECS)
-    assert (lengths, kernel_calls) == ([300, spans], 2)
+    assert (checks, [len(r) for r in runs], kernel_calls) == ([300, 2 * spans], [2 * spans], 1)
+    assert result["reports"] == [
+        {"spec": vars(spec), **expected_report(config, stream, spec)} for spec in SWEEP_SPECS
+    ]
+
+
+@st.composite
+def span_sets(draw):
+    """A config, one stream and up to six specs, unsorted.  Each spec after
+    the first sits against an earlier one's reach ``[start, hi)``: inside
+    it, one or two samples on with the same duration, touching it, or
+    ``taps - 1`` or ``taps`` samples past it, on the two sides of the
+    merge rule; or in the stream's first or last ``taps`` samples.  Levels
+    are biased to 0 and full scale."""
+    config = draw(configs())
+    taps, top = config.taps, config.sample_format.max_raw
+    size = draw(st.one_of(st.integers(1, 240), st.integers(3 * taps, 240)))
+    stream = draw(streams(config, min_size=size, max_size=size))
+    level = st.one_of(st.sampled_from((0, top)), st.integers(0, top))
+    specs, reaches = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        duration = None
+        if not specs:
+            start = draw(st.integers(0, size - 1))
+        else:
+            earlier = draw(st.sampled_from(specs))
+            lo, hi = reaches[specs.index(earlier)]
+            place = draw(st.sampled_from(
+                ("inside", "on", "touch", "taps - 1", "taps", "first", "last")))
+            start = {
+                "inside": draw(st.integers(lo, hi - 1)),
+                "on": lo + draw(st.integers(1, 2)),
+                "touch": hi,
+                "taps - 1": hi + taps - 1,
+                "taps": hi + taps,
+                "first": draw(st.integers(0, taps - 1)),
+                "last": size - draw(st.integers(1, taps)),
+            }[place]
+            if place == "on":
+                duration = earlier.duration
+            if not 0 <= start < size or start + (duration or 1) > size:
+                continue
+        spec = FaultSpec(
+            kind=draw(st.sampled_from(FAULT_KINDS)),
+            start=start,
+            duration=duration or draw(st.integers(1, min(size - start, taps + 3))),
+            magnitude=draw(level),
+        )
+        specs.append(spec)
+        reaches.append((start, min(size, spec.end + taps - 1)))
+    return config, stream, draw(st.permutations(specs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=span_sets())
+def test_the_clean_spans_give_the_full_stream_reports_from_one_run(case):
+    config, stream, specs = case
+    _, runs, kernel_calls, result = _sweep_counting_runs(specs, stream, config)
+    assert result["reports"] == [
+        {"spec": vars(spec), **expected_report(config, stream, spec)} for spec in specs
+    ]
+    # One run, of each spec's faulty segment [start - taps + 1, hi), then
+    # the clean spans.  Merged across gaps of at most taps - 1 and each led
+    # by taps - 1 samples, those cover the union of the specs' segments,
+    # at most n + taps - 1 samples.  The run's last output is the clean
+    # one at the largest hi - 1.
+    lead = config.taps - 1
+    segments = [range(spec.start - lead, min(len(stream), spec.end + lead)) for spec in specs]
+    clean = len(set().union(*segments))
+    assert clean <= len(stream) + lead
+    assert (len(runs), kernel_calls) == (1, 1)
+    assert len(runs[0]) == sum(map(len, segments)) + clean
+    assert runs[0][-1] == oracle(config, stream)[max(r.stop for r in segments) - 1]
+
+
+def test_a_deviation_wider_than_a_byte_recovers_at_its_last_change():
+    config = make_config(taps=8, sample_int_bits=12)
+    stream = [0] * 40
+    spec = FaultSpec("stuck", 10, 3, 4095)
+    report = sweep([spec], config, [stream])["reports"][0]
+    assert report["max_output_deviation"] > 255
+    assert report == {"spec": vars(spec), **expected_report(config, stream, spec)}
+
+
+def test_a_bad_sample_outside_every_span_still_raises_at_its_index():
+    # the reaches [10, 15) and [40, 44) and their leads end before the bad
+    # sample, in the faulty and in the clean spans
+    specs = [FaultSpec("spike", 40, 1, 5), FaultSpec("spike", 10, 2, 100)]
+    _raises(lambda: sweep(specs, make_config(taps=4), [_stream_with(250, 200)]),
+            ValueError, "sample 250: sample 200 out of range 0..127")
+
+
+@pytest.mark.parametrize("other", [FaultSpec("spike", 299, 2, 5), FaultSpec("stuck", 30, 1, 200)],
+                         ids=["window", "level"])
+def test_a_bad_sample_keeps_its_place_among_the_spec_errors(other):
+    # the stream is checked after the first spec's window and before its
+    # level, so a bad sample wins over a later spec's window or level and
+    # over the first spec's level, and only the first spec's window wins
+    # over it
+    config, stream = make_config(taps=4), _stream_with(250, 1.5)
+    specs = [FaultSpec("spike", 10, 2, 100), other]
+    _raises(lambda: sweep(specs, config, [stream]), TypeError, FLOAT_MESSAGE)
+    if other.kind == "spike":
+        _raises(lambda: sweep(specs[::-1], config, [stream]),
+                ValueError, "fault window [299, 301) exceeds stream length 300")
+    else:
+        _raises(lambda: sweep(specs[::-1], config, [stream]), TypeError, FLOAT_MESSAGE)
 
 
 def test_a_sweep_reads_a_shared_iterator_once():
