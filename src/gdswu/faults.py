@@ -141,7 +141,8 @@ def sweep(
     if len(streams) != 1:
         raise ValueError(f"need exactly 1 stream, got {len(streams)}")
     clean = list(streams[0])
-    n, lead = len(clean), config.taps - 1
+    n, taps = len(clean), config.taps
+    lead = taps - 1
     max_raw = config.sample_format.max_raw
     filt = GammaWindowFilter(config)
     spans, reach, joined = [], [], []
@@ -192,19 +193,19 @@ def sweep(
     weights = config.weights
     tops = list(accumulate(sorted(weights.raw, reverse=True)))
     divisor = weights.raw_sum if config.mode == MODE_NORMALIZED else 1 << weights.qformat.frac_bits
-    sub, index = operator.sub, operator.index
     reports = []
     for spec, start, end, level, hi, at in spans:
-        deviations = list(map(abs, map(sub, out[at : at + hi - start], clean_out[start:hi])))
+        faulty_out = out[at : at + hi - start]
+        deviations = list(map(abs, map(operator.sub, faulty_out, clean_out[start:hi])))
         max_deviation = max(deviations)
-        delta_max = max(abs(level - index(x)) for x in clean[start:end])
-        bound = -(-tops[min(end - start, lead + 1) - 1] * delta_max // divisor) + 1
+        delta_max = max(abs(level - operator.index(x)) for x in clean[start:end])
+        bound = -(-tops[min(end - start, taps) - 1] * delta_max // divisor) + 1
         # the outputs agree for good after the last deviation: the last
         # non-zero byte, a wider deviation counting as 1
         flags = deviations if max_deviation < 256 else map(bool, deviations)
         changed = len(bytes(flags).rstrip(b"\0"))
         reports.append({
-            "spec": vars(spec).copy(),
+            "spec": dict(vars(spec)),
             "max_output_deviation": max_deviation,
             "analytic_bound": bound,
             "recovery_index": max(end, start + changed),

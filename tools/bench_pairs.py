@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/bench_pairs.py BASE CHANGE [--claim WORKLOAD:METRIC] [-o FILE]
+                                 [--seed SEED]
     python3 tools/bench_pairs.py --summarize FILE [--claim WORKLOAD:METRIC]
 
 BASE and CHANGE are git revisions of this repository.  For every run the
@@ -14,16 +15,23 @@ S being ``BENCHMARK.json``'s ``run_seconds``.  Each workload gets ten
 pairs; pair p runs on seed p, the parent first on odd p and the change
 first on even p, so drift in the host's load falls on both sides alike.  The
 claimed workload runs first, then the others of ``BENCHMARK.json``.
+``--seed`` runs every pair on that one seed, such as a seed held back
+from the ten, to check a claim on inputs the change was not tuned on.
 
 The output file holds a description, the claim, the notes, the summary
 per workload and every run.  Per end-to-end metric of ``BENCHMARK.json``
 the summary gives each side's median and inclusive quartiles
 (``statistics.quantiles(method='inclusive')``), the ratio of the medians,
 change over parent, and the pairs the change won in the metric's better
-direction.  A claim is met when the change wins at least nine of ten
-pairs, its median is better than the parent's by more than the parent's
-quartile distance, and it lies beyond the parent's third quartile (below
-the first, for a metric where lower is better).
+direction.  Two paired figures are reported beside them, not gated: the
+median of the pairs' own ratios, change over parent, each pair's two
+runs taken moments apart; and the two-sided exact sign test's p-value
+for the pairs won, tied pairs left out (the chance of a split at least
+as uneven if either side were as likely to win each pair).  A claim is
+met when the change wins at least nine of ten pairs, its median is
+better than the parent's by more than the parent's quartile distance,
+and it lies beyond the parent's third quartile (below the first, for a
+metric where lower is better).
 
 ``--summarize FILE`` recomputes the summary and the notes from the runs
 of a file of this layout; the claim is read from the leading words of
@@ -37,6 +45,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -91,6 +100,15 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """The two-sided exact sign test's p-value for ``wins`` of the pairs
+    that are not tied: twice the binomial(n, 1/2) tail at the smaller
+    count, at most 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """The summary per workload, in the order the runs first name them."""
     summary = {}
@@ -110,12 +128,16 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                         for p in pairs]
             wins = sum((row["change"] > row["parent"]) if direction == "higher"
                        else (row["change"] < row["parent"]) for row in per_pair)
+            ties = sum(row["change"] == row["parent"] for row in per_pair)
             stats = {side: _quartiles(list(values[side].values())) for side in SIDES}
             entry[metric] = {
                 **stats,
                 "change_wins": wins,
                 "pairs": len(pairs),
                 "median_ratio": stats["change"]["median"] / stats["parent"]["median"],
+                "paired_ratio": statistics.median(row["change"] / row["parent"]
+                                                  for row in per_pair),
+                "sign_test_p": sign_test(wins, len(pairs) - wins - ties),
                 "per_pair": per_pair,
             }
         entry["runs_correct"] = sum(bool(run["result"]["correct"]) for run in scored)
@@ -169,8 +191,9 @@ def notes(summary: dict, better: dict[str, str], bounds: dict[str, float],
             stats = entry[metric]
             figures.append(
                 f"{metric} {_figure(stats['parent'])} -> {_figure(stats['change'])} "
-                f"(ratio {stats['median_ratio']:.4f}, change better in "
-                f"{stats['change_wins']} of {stats['pairs']})"
+                f"(ratio {stats['median_ratio']:.4f}, paired ratio {stats['paired_ratio']:.4f}, "
+                f"change better in {stats['change_wins']} of {stats['pairs']}, "
+                f"sign test p {stats['sign_test_p']:.3g})"
             )
             ratio = stats["median_ratio"]
             loss = ratio - 1 if better[metric] == "lower" else 1 - ratio
@@ -206,6 +229,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("-o", "--output", help="the file to write (default: standard output)")
     parser.add_argument("--summarize", metavar="FILE", help="recompute the notes of FILE")
+    parser.add_argument("--seed", type=int,
+                        help="run every pair on this seed (default: pair p on seed p)")
     args = parser.parse_args(argv)
 
     bench = _benchmark()
@@ -240,16 +265,18 @@ def main(argv=None) -> int:
     for workload in names:
         for pair in range(1, PAIRS + 1):
             for side in SIDES if pair % 2 else SIDES[::-1]:
-                run = _run_one(revisions[side], workload, pair, seconds)
+                seed = pair if args.seed is None else args.seed
+                run = _run_one(revisions[side], workload, seed, seconds)
                 runs.append({"workload": workload, "pair": pair, "side": side, **run})
                 print(f"{workload} pair {pair} {side}: exit {run['exit']}, {run['wall_s']} s",
                       file=sys.stderr, flush=True)
     summary = summarize(runs, better)
     claim_text, lines = notes(summary, better, bounds, claim)
+    seeds = "pair p on seed p" if args.seed is None else f"every pair on seed {args.seed}"
     description = (
         f"perfbench/run.py --seconds {seconds:g} --trace 0 output, parent commit "
         f"{revisions['parent']} against change {revisions['change']}. {PAIRS} alternating "
-        "pairs per workload, pair p on seed p, the parent first on odd p; "
+        f"pairs per workload, {seeds}, the parent first on odd p; "
         "PYTHONDONTWRITEBYTECODE=1; each run from a fresh git archive of its side's commit; "
         f"{os.cpu_count()} CPUs, Python {platform.python_version()}. Quartiles are "
         "statistics.quantiles(method='inclusive')."
