@@ -18,9 +18,10 @@ table to every byte of a column, as one word-wide operation acts on every
 lane.  In any other block (a wider value, a negative, an output edited
 out of range) the slots are ``%d,%d``, formatted with one ``%`` over the
 block's values, each taken through ``operator.index`` first, so that a
-non-integer raises TypeError rather than printing truncated.  Either way one ``translate`` first deletes every pad.
-The choice is made per block, from its values alone.  The run, step and
-cycle CSVs all write their numbered rows this way.
+non-integer raises TypeError rather than printing truncated.  Either way
+one ``translate`` first deletes every pad.  The choice is made per block,
+from its values alone.  The run, step and cycle CSVs all write their
+numbered rows this way.
 """
 
 from __future__ import annotations

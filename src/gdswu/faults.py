@@ -193,17 +193,17 @@ def sweep(
     weights = config.weights
     tops = list(accumulate(sorted(weights.raw, reverse=True)))
     divisor = weights.raw_sum if config.mode == MODE_NORMALIZED else 1 << weights.qformat.frac_bits
+    sub, index = operator.sub, operator.index
     reports = []
     for spec, start, end, level, hi, at in spans:
-        faulty_out = out[at : at + hi - start]
-        deviations = list(map(abs, map(operator.sub, faulty_out, clean_out[start:hi])))
+        deviations = list(map(abs, map(sub, out[at : at + hi - start], clean_out[start:hi])))
         max_deviation = max(deviations)
-        delta_max = max(abs(level - operator.index(x)) for x in clean[start:end])
+        delta_max = max(abs(level - index(x)) for x in clean[start:end])
         bound = -(-tops[min(end - start, taps) - 1] * delta_max // divisor) + 1
-        # the outputs agree for good after the last deviation: the last
-        # non-zero byte, a wider deviation counting as 1
-        flags = deviations if max_deviation < 256 else map(bool, deviations)
-        changed = len(bytes(flags).rstrip(b"\0"))
+        # the outputs agree for good after the last deviation
+        changed = len(deviations)
+        while changed and not deviations[changed - 1]:
+            changed -= 1
         reports.append({
             "spec": dict(vars(spec)),
             "max_output_deviation": max_deviation,

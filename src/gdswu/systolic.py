@@ -258,7 +258,8 @@ def cycle_csv_blocks(trace: CycleTrace) -> Iterator[str]:
             for lo in range(tick, stop, 1000):
                 hi = min(lo + 1000, stop)
                 yield "".join([
-                    f"{c},{'' if x is None else '%d' % index(x)},{'' if y is None else '%d' % index(y)}{end}"
+                    f"{c},{'' if x is None else '%d' % index(x)},"
+                    f"{'' if y is None else '%d' % index(y)}{end}"
                     for c, x, y, end in zip(count(trace.first_cycle + lo), inputs[lo:hi],
                                             outputs[lo:hi], islice(ends, hi - lo))
                 ])

@@ -222,7 +222,8 @@ def _stream_with(index, value, length=300):
 
 
 ERROR_CASES = [
-    # a bad sample far outside the span a fault at 10 can reach, in stream coordinates
+    # a bad sample far outside the spans that a fault at 10 and one at 0 can
+    # reach, faulty or clean, in stream coordinates
     (_stream_with(250, 200), FaultSpec("spike", 10, 2, 100),
      ValueError, "sample 250: sample 200 out of range 0..127"),
     (_stream_with(250, 1.5), FaultSpec("spike", 10, 2, 100), TypeError, FLOAT_MESSAGE),
@@ -263,6 +264,12 @@ def test_sweep_raises_the_first_failing_spec_error():
             ValueError, "sample 250: sample 200 out of range 0..127")
     _raises(lambda: sweep(specs[::-1], config, [stream]),
             ValueError, "fault window [299, 301) exceeds stream length 300")
+    # the stream is checked at the first spec, before its level, so a bad
+    # level in either spec comes after the bad sample
+    specs = [FaultSpec("spike", 0), FaultSpec("stuck", 30, 1, 200)]
+    for order in (specs, specs[::-1]):
+        _raises(lambda: sweep(order, config, [stream]),
+                ValueError, "sample 250: sample 200 out of range 0..127")
 
 
 @pytest.mark.parametrize("count", [0, 2])
@@ -393,31 +400,6 @@ def test_a_deviation_wider_than_a_byte_recovers_at_its_last_change():
     report = sweep([spec], config, [stream])["reports"][0]
     assert report["max_output_deviation"] > 255
     assert report == {"spec": vars(spec), **expected_report(config, stream, spec)}
-
-
-def test_a_bad_sample_outside_every_span_still_raises_at_its_index():
-    # the reaches [10, 15) and [40, 44) and their leads end before the bad
-    # sample, in the faulty and in the clean spans
-    specs = [FaultSpec("spike", 40, 1, 5), FaultSpec("spike", 10, 2, 100)]
-    _raises(lambda: sweep(specs, make_config(taps=4), [_stream_with(250, 200)]),
-            ValueError, "sample 250: sample 200 out of range 0..127")
-
-
-@pytest.mark.parametrize("other", [FaultSpec("spike", 299, 2, 5), FaultSpec("stuck", 30, 1, 200)],
-                         ids=["window", "level"])
-def test_a_bad_sample_keeps_its_place_among_the_spec_errors(other):
-    # the stream is checked after the first spec's window and before its
-    # level, so a bad sample wins over a later spec's window or level and
-    # over the first spec's level, and only the first spec's window wins
-    # over it
-    config, stream = make_config(taps=4), _stream_with(250, 1.5)
-    specs = [FaultSpec("spike", 10, 2, 100), other]
-    _raises(lambda: sweep(specs, config, [stream]), TypeError, FLOAT_MESSAGE)
-    if other.kind == "spike":
-        _raises(lambda: sweep(specs[::-1], config, [stream]),
-                ValueError, "fault window [299, 301) exceeds stream length 300")
-    else:
-        _raises(lambda: sweep(specs[::-1], config, [stream]), TypeError, FLOAT_MESSAGE)
 
 
 def test_a_sweep_reads_a_shared_iterator_once():
