@@ -36,7 +36,9 @@ The reports read the clean outputs ``[start, hi)`` of each spec, and no
 other.  The clean spans are the union of those ranges, sorted, with two
 merged where the gap between them is at most ``taps - 1`` samples, each
 led by its own ``taps - 1`` samples (zeros before index 0), so that its
-outputs too equal the full-stream ones.  Merging across a gap of g
+outputs too equal the full-stream ones.  That is the union of the led
+ranges ``[start - taps + 1, hi)``, merged where two overlap or touch,
+which is how ``sweep`` builds them.  Merging across a gap of g
 samples filters those g where a separate lead would filter ``taps - 1``.
 A lead that stays separate skips a gap of at least ``taps`` samples, so
 it lies inside that gap, after the span before it.  The spans and the
@@ -153,7 +155,9 @@ def sweep(
             try:
                 filt._pack(clean)
             except _PACK_ERRORS:
-                filt.run(clean)  # raises the error of the first bad sample
+                # a throwaway filter raises the error of the first bad
+                # sample, and filt stays fresh whatever that run does
+                GammaWindowFilter(config).run(clean)
         try:
             level = check_sample(spec.replacement_value, max_raw)
         except ValueError as exc:
@@ -163,30 +167,27 @@ def sweep(
         lo, hi = start - lead, min(n, end + lead)
         joined += clean[lo:start] if lo >= 0 else [0] * -lo + clean[:start]
         spans.append((spec, start, end, level, hi, len(joined)))
-        reach.append((start, hi))
+        reach.append((lo, hi))
         joined += [level] * (end - start)
         joined += clean[end:hi]
 
-    # the clean spans: the union of the specs' [start, hi), merged across
-    # gaps of at most taps - 1, each led by its taps - 1 samples
-    bounds = []
-    for start, hi in sorted(reach):
-        if bounds and start - bounds[-1] <= lead:
-            if hi > bounds[-1]:
-                bounds[-1] = hi
+    # the clean spans: the union of the specs' led reaches [start - taps + 1,
+    # hi), merged where they overlap or touch
+    merged = []
+    for lo, hi in sorted(reach):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
         else:
-            bounds += start, hi
-    merged = list(zip(bounds[::2], bounds[1::2]))
+            merged.append([lo, hi])
     at = len(joined)
-    for start, hi in merged:
-        lo = start - lead
+    for lo, hi in merged:
         joined += clean[lo:hi] if lo >= 0 else [0] * -lo + clean[:hi]
     out = filt.run(joined) if spans else []
     clean_out = [0] * n
-    for start, hi in merged:
-        at += lead
-        clean_out[start:hi] = out[at : at + hi - start]
-        at += hi - start
+    for lo, hi in merged:
+        clean_out[lo + lead : hi] = out[at + lead : at + hi - lo]
+        at += hi - lo
 
     # the analytic bound of each spec (see the module note): tops[k - 1] is
     # the sum of the k largest raw weights

@@ -3,7 +3,6 @@
 Usage::
 
     python3 tools/kernel_grid.py BASE_CHECKOUT NEW_CHECKOUT [--samples N] [--rounds R]
-                                 [--table kernel|pipeline|command|sweep ...]
 
 Both checkouts' ``src/gdswu`` are copied under a temporary directory as
 two packages, ``gdswu_base`` and ``gdswu_new``, and imported into this one
@@ -27,10 +26,9 @@ byte-identical.  A last table does the same for ``faults.sweep`` over
 4,096 7-bit samples at 64 taps (a=4, b=8), in both modes: the 12 specs
 of the benchmark's ``fault-sweep`` workload, and 1,000 one-sample spikes
 at pseudo-random starts and levels; both sides' reports must be equal.
-``--table`` times only the tables it names.  Each table gives each
-side's median over rounds, the median over rounds of the ratio new/base,
-each round's pair timed moments apart, and the rounds the new checkout
-won.  Its last row, the control, times one of its rows with the base
+Each table gives each side's median over rounds, the median over rounds
+of the ratio new/base, each round's pair timed moments apart, and the
+rounds the new checkout won.  Its last row, the control, times one of its rows with the base
 checkout on both sides: a round's minimum of three repeats still carries
 the host's load of that moment, and the control's ratio and wins show
 how far that noise alone moves a row that a change leaves alone.
@@ -53,7 +51,6 @@ import timeit
 SAMPLE_BITS = (1, 7, 8, 9, 12, 16, 20, 64)
 CLI_ROWS = 65536
 SWEEP_SAMPLES = 4096
-TABLES = ("kernel", "pipeline", "command", "sweep")
 # the kernel row timed base against base as well
 CONTROL_KERNEL = (7, 64, "raw-accumulate")
 TAPS = (4, 16, 64, 256)
@@ -96,7 +93,30 @@ def control(runs: dict, rounds: int) -> str:
     return paired({"base": runs["base"], "new": runs["base"]}, rounds)
 
 
-def kernel_table(sides: dict, args) -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="checkout whose src/gdswu is the baseline")
+    parser.add_argument("new", help="checkout whose src/gdswu is compared with it")
+    parser.add_argument("--samples", type=int, default=8192)
+    parser.add_argument("--rounds", type=int, default=7)
+    args = parser.parse_args(argv)
+
+    sys.dont_write_bytecode = True
+    tmp = tempfile.mkdtemp()
+    try:
+        sides, clis, pipelines, faults = {}, {}, {}, {}
+        for side in ("base", "new"):
+            shutil.copytree(os.path.join(getattr(args, side), "src", "gdswu"),
+                            os.path.join(tmp, f"gdswu_{side}"))
+        sys.path.insert(0, tmp)
+        for side in ("base", "new"):
+            sides[side] = importlib.import_module(f"gdswu_{side}.core")
+            clis[side] = importlib.import_module(f"gdswu_{side}.cli")
+            pipelines[side] = importlib.import_module(f"gdswu_{side}.systolic")
+            faults[side] = importlib.import_module(f"gdswu_{side}.faults")
+    finally:
+        shutil.rmtree(tmp)
+
     print(f"# {args.samples} samples, {args.rounds} rounds; timeit minimums in ms")
     print(f"{'bits':>4} {'taps':>4} {'mode':<18} {'base':>9} {'new':>9} {'new/base':>8} {'wins':>5}")
     for bits in SAMPLE_BITS:
@@ -120,10 +140,7 @@ def kernel_table(sides: dict, args) -> int:
     bits, taps, mode = CONTROL_KERNEL
     print(f"{'control, base/base':<28} {control(floor, args.rounds)}  ({bits}/{taps}/{mode})",
           flush=True)
-    return 0
 
-
-def pipeline_table(sides: dict, pipelines: dict, args) -> int:
     rng = random.Random(2)
     gapless = [rng.getrandbits(7) for _ in range(args.samples)]
     late = list(gapless)
@@ -159,10 +176,7 @@ def pipeline_table(sides: dict, pipelines: dict, args) -> int:
                       flush=True)
     print(f"{'control, base/base':<20} {control(runs, args.rounds)}  "
           f"({taps}/{architecture}/{name})", flush=True)
-    return 0
 
-
-def command_tables(clis: dict, args) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = {}
         for bits in SAMPLE_BITS:
@@ -195,10 +209,7 @@ def command_tables(clis: dict, args) -> int:
                     print(f"{bits:>4} {' '.join(flags):<22} {paired(runs, args.rounds)}", flush=True)
             print(f"{'control, base/base':<27} {control(floor, args.rounds)}  ({floor_name})",
                   flush=True)
-    return 0
 
-
-def sweep_table(sides: dict, faults: dict, args) -> int:
     rng = random.Random(SWEEP_SAMPLES)
     stream = [rng.getrandbits(7) for _ in range(SWEEP_SAMPLES)]
     grids = {
@@ -228,43 +239,6 @@ def sweep_table(sides: dict, faults: dict, args) -> int:
             print(f"{mode:<18} {name:<11} {paired(runs, args.rounds)}", flush=True)
     print(f"{'control, base/base':<30} {control(runs, args.rounds)}  ({mode}/{name})",
           flush=True)
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", help="checkout whose src/gdswu is the baseline")
-    parser.add_argument("new", help="checkout whose src/gdswu is compared with it")
-    parser.add_argument("--samples", type=int, default=8192)
-    parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--table", action="append", choices=TABLES,
-                        help="time only this table (repeatable; default: every one)")
-    args = parser.parse_args(argv)
-
-    sys.dont_write_bytecode = True
-    tmp = tempfile.mkdtemp()
-    try:
-        modules = {name: {} for name in ("core", "cli", "systolic", "faults")}
-        for side in ("base", "new"):
-            shutil.copytree(os.path.join(getattr(args, side), "src", "gdswu"),
-                            os.path.join(tmp, f"gdswu_{side}"))
-        sys.path.insert(0, tmp)
-        for side in ("base", "new"):
-            for name, loaded in modules.items():
-                loaded[side] = importlib.import_module(f"gdswu_{side}.{name}")
-    finally:
-        shutil.rmtree(tmp)
-
-    sides = modules["core"]
-    tables = {
-        "kernel": lambda: kernel_table(sides, args),
-        "pipeline": lambda: pipeline_table(sides, modules["systolic"], args),
-        "command": lambda: command_tables(modules["cli"], args),
-        "sweep": lambda: sweep_table(sides, modules["faults"], args),
-    }
-    for name in args.table or TABLES:
-        if tables[name]():
-            return 1
     return 0
 
 
